@@ -1,8 +1,8 @@
 /// \file queue_micro.cpp
 /// Microbenchmark of the pending-event structure behind the simulator
-/// (sim/calendar_queue.hpp): calendar queue vs the original binary heap,
-/// measured in isolation with the classic "hold" model — prefill N events,
-/// then repeatedly pop the minimum and push a replacement at now + delay.
+/// (sim/calendar_queue.hpp), the calendar queue measured in isolation with
+/// the classic "hold" model — prefill N events, then repeatedly pop the
+/// minimum and push a replacement at now + delay.
 ///
 /// Sweeps pending-set sizes 10^3..10^7 under three delay mixes:
 ///   uniform     delays ~ U[0, 1)            (the calendar's best case)
@@ -10,7 +10,7 @@
 ///   heavy-tail  exponential(1) cubed        (rare far-future events
 ///                                            exercising the overflow list)
 ///
-/// Prints hold-operation throughput per (mode, mix, size) cell and the
+/// Prints hold-operation throughput per (mix, size) cell and the
 /// standard stderr timing line for bench/run_benches.sh.
 
 #include <algorithm>
@@ -47,9 +47,9 @@ struct CellOut {
   std::uint64_t ops = 0;        // total queue ops performed
 };
 
-CellOut run_cell(sim::QueueMode mode, Mix mix, std::size_t pending,
-                 std::size_t holds, std::uint64_t seed) {
-  sim::EventQueue queue(mode);
+CellOut run_cell(Mix mix, std::size_t pending, std::size_t holds,
+                 std::uint64_t seed) {
+  sim::EventQueue queue;
   sim::EventArena arena;
   util::Rng rng(seed);
   std::uint64_t seq = 0;
@@ -98,9 +98,7 @@ int main() {
 
   std::printf("event-queue hold throughput (pop+push at steady pending size; "
               "Mops/s = million hold ops per second)\n\n");
-  bench::Table table({"mix", "pending", "heap_Mops", "cal_Mops", "speedup",
-                      "cal_resizes"},
-                     13);
+  bench::Table table({"mix", "pending", "cal_Mops", "cal_resizes"}, 13);
   table.print_header();
   for (Mix mix : {Mix::kUniform, Mix::kTwoPoint, Mix::kHeavyTail}) {
     for (std::size_t pending : sizes) {
@@ -108,26 +106,20 @@ int main() {
       // pending sizes affordable.
       const std::size_t holds =
           std::min<std::size_t>(2 * pending, 2000000);
-      CellOut heap =
-          run_cell(sim::QueueMode::kHeap, mix, pending, holds, seed);
-      CellOut cal =
-          run_cell(sim::QueueMode::kCalendar, mix, pending, holds, seed);
-      timing.add(heap.ops + cal.ops, 2);
+      CellOut cal = run_cell(mix, pending, holds, seed);
+      timing.add(cal.ops);
       table.cell(mix_name(mix));
       table.cell(pending);
-      table.cell(heap.hold_mops, 2);
       table.cell(cal.hold_mops, 2);
-      table.cell(cal.hold_mops / heap.hold_mops, 2);
       table.cell(cal.resizes);
       table.end_row();
       std::fflush(stdout);
     }
     std::printf("\n");
   }
-  std::printf("the heap's pop costs O(log n) comparisons at every size; the "
-              "calendar's stays O(1) while its width estimate matches the "
-              "mix — the two-point and heavy-tail rows show the retune and "
-              "overflow machinery paying for itself.\n");
+  std::printf("the calendar's pop stays O(1) while its width estimate "
+              "matches the mix — the two-point and heavy-tail rows exercise "
+              "the retune and overflow machinery.\n");
   timing.emit(1);
   return 0;
 }

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Machine-readable benchmark harness for the DES hot path.
+# Wall-clock smoke timings of the bench binaries (CI's release-bench job).
 #
 # Usage:  bench/run_benches.sh BUILD_DIR [OUT_JSON]
 #
@@ -7,17 +7,21 @@
 # OUT_JSON (default BENCH.json in the current directory):
 #
 #   {
-#     "meta":    { host facts: cores, build dir, date },
+#     "meta":    { "build_dir": ..., "cores": ..., "repeat": ..., "date": ... },
 #     "benches": {
-#       "<name>": { "wall_s": ..., "events_per_s": ..., "ops_per_s": ... }
+#       "<name>": { "wall_s": ..., "events_per_s": ... }
 #     }
 #   }
 #
-# events_per_s comes from experiment_cli's stderr timing line and is null
-# for builds that predate it (the harness still times them, so before/after
-# wall-clock comparisons work against any revision).  Knobs: PQRA_JOBS caps
-# the parallel runs; BENCH_REPEAT (default 3) repeats each workload and
-# keeps the best wall time.
+# wall_s is the best of BENCH_REPEAT (default 3) runs.  events_per_s comes
+# from the binary's stderr timing line and is null when there is none (the
+# harness still times it, so before/after wall-clock comparisons work
+# against any revision).  PQRA_JOBS caps the parallel runs.
+#
+# These best-of-N wall times on a shared host are a smoke signal, not a
+# measurement: performance claims are made with the benchmark suite in
+# bench/suite/ (BENCHMARK.json; bench/suite/README.md), which times
+# per-phase host cost over repeated reps and compares runs with compare.py.
 set -u
 
 BUILD_DIR=${1:?usage: run_benches.sh BUILD_DIR [OUT_JSON]}
@@ -75,7 +79,7 @@ events_rate() { sed -n 's/.* | \([0-9.]*\) events\/s$/\1/p' <<<"$1" | tail -1; }
 
 json_num() { [ -n "$1" ] && printf '%s' "$1" || printf 'null'; }
 
-declare -A WALL RATE OPS
+declare -A WALL RATE
 
 # 1. DES throughput, sequential: the schedule->fire hot path (EventFn +
 #    shared payloads) dominates; events/s is the headline figure.
@@ -116,16 +120,10 @@ WALL[cli_store_100k]=$store_wall
 RATE[cli_store_100k]=$(events_rate "$store_err")
 
 # 7. Event-queue microbenchmark (fast preset): hold-model throughput of the
-#    calendar queue vs the binary heap in isolation.
+#    calendar queue in isolation.
 time_best qmicro env PQRA_FAST=1 "$BENCH/queue_micro"
 WALL[queue_micro_fast]=$qmicro_wall
 RATE[queue_micro_fast]=$(events_rate "$qmicro_err")
-
-# ops/s where a natural operation count exists.
-OPS[fig2_rounds_fast]=""    # rounds vary per cell; wall_s is the figure
-for k in cli_apsp_seq cli_apsp_par; do
-  OPS[$k]=""
-done
 
 {
   printf '{\n'

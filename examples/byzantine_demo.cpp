@@ -1,6 +1,7 @@
 /// \file byzantine_demo.cpp
-/// Lying replica servers vs the masking-quorum client — the fault model of
-/// Malkhi–Reiter that the paper's §4 simplifies away, live.
+/// Lying replica servers vs the masking-quorum read rule
+/// (ClientOptions::fault_bound) — the fault model of Malkhi–Reiter that the
+/// paper's §4 simplifies away, live.
 ///
 /// Three acts:
 ///   1. a naive max-timestamp client is fooled by a single fabricating
@@ -34,9 +35,9 @@ struct Outcome {
 };
 
 /// Runs `reads` write+read pairs against a cluster with `liars` fabricating
-/// servers.  When `fault_bound` < 0, uses the naive max-ts client.
-Outcome run(std::size_t n, std::size_t k, std::size_t liars, int fault_bound,
-            int reads, std::uint64_t seed) {
+/// servers.  `fault_bound` 0 is the naive max-timestamp client.
+Outcome run(std::size_t n, std::size_t k, std::size_t liars,
+            std::size_t fault_bound, int reads, std::uint64_t seed) {
   sim::Simulator sim;
   auto delay = sim::make_constant_delay(1.0);
   net::SimTransport transport(sim, *delay, util::Rng(seed),
@@ -58,54 +59,31 @@ Outcome run(std::size_t n, std::size_t k, std::size_t liars, int fault_bound,
   Outcome out;
   constexpr core::Timestamp kFabTs = 1ULL << 40;
 
-  if (fault_bound < 0) {
-    // Naive client: plain quorum register, takes the max timestamp.
-    core::QuorumRegisterClient writer(sim, transport,
-                                      static_cast<net::NodeId>(n), qs, 0,
-                                      util::Rng(seed).fork(1));
-    core::QuorumRegisterClient reader(sim, transport,
-                                      static_cast<net::NodeId>(n + 1), qs, 0,
-                                      util::Rng(seed).fork(2));
-    std::function<void(int)> loop = [&](int remaining) {
-      if (remaining == 0) return;
-      writer.write(0, util::encode<std::int64_t>(remaining),
-                   [&, remaining](core::Timestamp) {
-                     reader.read(0, [&, remaining](core::ReadResult r) {
-                       ++out.reads;
-                       if (r.ts >= kFabTs) ++out.fabricated;
-                       loop(remaining - 1);
-                     });
+  core::ClientOptions options;
+  options.fault_bound = fault_bound;
+  core::QuorumRegisterClient writer(sim, transport,
+                                    static_cast<net::NodeId>(n), qs, 0,
+                                    util::Rng(seed).fork(1), options);
+  core::QuorumRegisterClient reader(sim, transport,
+                                    static_cast<net::NodeId>(n + 1), qs, 0,
+                                    util::Rng(seed).fork(2), options);
+  std::function<void(int)> loop = [&](int remaining) {
+    if (remaining == 0) return;
+    writer.write(0, util::encode<std::int64_t>(remaining),
+                 [&, remaining](core::Timestamp) {
+                   reader.read(0, [&, remaining](core::ReadResult r) {
+                     ++out.reads;
+                     if (!r.vouched) {
+                       ++out.unvouched;
+                     } else if (r.ts >= kFabTs) {
+                       ++out.fabricated;
+                     }
+                     loop(remaining - 1);
                    });
-    };
-    loop(reads);
-    sim.run();
-  } else {
-    core::MaskingRegisterClient writer(sim, transport,
-                                       static_cast<net::NodeId>(n), qs, 0,
-                                       util::Rng(seed).fork(1),
-                                       static_cast<std::size_t>(fault_bound));
-    core::MaskingRegisterClient reader(sim, transport,
-                                       static_cast<net::NodeId>(n + 1), qs, 0,
-                                       util::Rng(seed).fork(2),
-                                       static_cast<std::size_t>(fault_bound));
-    std::function<void(int)> loop = [&](int remaining) {
-      if (remaining == 0) return;
-      writer.write(0, util::encode<std::int64_t>(remaining),
-                   [&, remaining](core::Timestamp) {
-                     reader.read(0, [&, remaining](core::MaskedReadResult r) {
-                       ++out.reads;
-                       if (!r.vouched) {
-                         ++out.unvouched;
-                       } else if (r.ts >= kFabTs) {
-                         ++out.fabricated;
-                       }
-                       loop(remaining - 1);
-                     });
-                   });
-    };
-    loop(reads);
-    sim.run();
-  }
+                 });
+  };
+  loop(reads);
+  sim.run();
   return out;
 }
 
@@ -119,21 +97,19 @@ void report(const char* label, const Outcome& o) {
 int main(int argc, char** argv) {
   const std::size_t n = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 12;
   const std::size_t k = argc > 2 ? std::strtoul(argv[2], nullptr, 10) : 8;
-  const int b = argc > 3 ? std::atoi(argv[3]) : 2;
+  const std::size_t b = argc > 3 ? std::strtoul(argv[3], nullptr, 10) : 2;
 
   std::printf("cluster: %zu servers, quorums of %zu; fabricators collude on "
               "a 2^40 timestamp\n",
               n, k);
-  std::printf("masking error bound P[|R∩W| <= 2b] = %.4f at b = %d\n\n",
-              util::masking_error_probability(n, k, static_cast<unsigned>(b)),
-              b);
+  std::printf("masking error bound P[|R∩W| <= 2b] = %.4f at b = %zu\n\n",
+              util::masking_error_probability(n, k, b), b);
 
   report("act 1: naive client, 1 fabricator",
-         run(n, k, 1, /*fault_bound=*/-1, 60, 1));
-  Outcome act2 = run(n, k, static_cast<std::size_t>(b), b, 60, 2);
+         run(n, k, 1, /*fault_bound=*/0, 60, 1));
+  Outcome act2 = run(n, k, b, b, 60, 2);
   report("act 2: masking client, b fabricators", act2);
-  report("act 3: masking client, b+1 fabricators",
-         run(n, k, static_cast<std::size_t>(b) + 1, b, 60, 3));
+  report("act 3: masking client, b+1 fabricators", run(n, k, b + 1, b, 60, 3));
 
   std::printf("\nwithin the fault bound the masking rule silences the "
               "liars; one server past it and fabricated values reappear — "

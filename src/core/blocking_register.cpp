@@ -65,10 +65,9 @@ BlockingRegisterClient::BlockingRegisterClient(
 }
 
 BlockingRegisterClient::Await BlockingRegisterClient::await_acks(
-    OpId op, net::MsgType expected, std::size_t needed,
-    std::vector<NodeId>& responders, Timestamp& best_ts, Value& best_value,
+    OpId op, net::MsgType expected, QuorumAccess& access,
     const std::optional<Clock::time_point>& until) {
-  while (responders.size() < needed) {
+  while (!access.complete()) {
     std::optional<net::Envelope> env =
         until.has_value() ? transport_.recv_until(self_, *until)
                           : transport_.recv(self_);
@@ -78,35 +77,29 @@ BlockingRegisterClient::Await BlockingRegisterClient::await_acks(
     if (env->msg.op != op || env->msg.type != expected) {
       continue;  // stale ack from an earlier (completed) operation
     }
-    bool duplicate = false;
-    for (NodeId seen : responders) {
-      if (seen == env->from) duplicate = true;
-    }
-    if (duplicate) continue;
-    responders.push_back(env->from);
-    if (expected == net::MsgType::kReadAck && env->msg.ts >= best_ts) {
-      best_ts = env->msg.ts;
-      best_value = std::move(env->msg.value);
+    if (!access.add_responder(env->from)) continue;
+    if (expected == net::MsgType::kReadAck) {
+      access.add_answer(env->msg.ts, std::move(env->msg.value));
     }
   }
   return Await::kDone;
 }
 
-BlockingRegisterClient::OpOutcome BlockingRegisterClient::run_op(
-    RegisterId reg, bool is_read, OpId op, Timestamp write_ts,
-    const Value& write_value, Timestamp& best_ts, Value& best_value) {
+OpStatus BlockingRegisterClient::run_op(RegisterId reg, bool is_read, OpId op,
+                                        Timestamp write_ts,
+                                        const Value& write_value,
+                                        QuorumAccess& access) {
   const auto kind =
       is_read ? quorum::AccessKind::kRead : quorum::AccessKind::kWrite;
   const net::MsgType expected =
       is_read ? net::MsgType::kReadAck : net::MsgType::kWriteAck;
-  const std::size_t needed = quorums_.quorum_size(kind);
+  access.begin_phase(quorums_.quorum_size(kind));
 
   std::optional<Clock::time_point> deadline_at;
   if (retry_.deadline.has_value()) {
     deadline_at = Clock::now() + seconds_duration(*retry_.deadline);
   }
 
-  std::vector<NodeId> responders;
   std::uint32_t attempt = 0;
   for (;;) {
     // Each attempt contacts a freshly sampled quorum; acks accumulate across
@@ -131,24 +124,14 @@ BlockingRegisterClient::OpOutcome BlockingRegisterClient::run_op(
                                 : attempt_until;
     }
 
-    Await out = await_acks(op, expected, needed, responders, best_ts,
-                           best_value, until);
-    if (out == Await::kDone) {
-      return OpOutcome{OpStatus::kOk, responders.size()};
-    }
-    if (out == Await::kShutdown) {
-      return OpOutcome{OpStatus::kShutdown, responders.size()};
-    }
+    Await out = await_acks(op, expected, access, until);
+    if (out == Await::kDone) return OpStatus::kOk;
+    if (out == Await::kShutdown) return OpStatus::kShutdown;
     const bool deadline_hit =
         deadline_at.has_value() && Clock::now() >= *deadline_at;
     if (deadline_hit || !retry_.rpc_timeout.has_value()) {
       // Out of budget (or no retries configured at all): settle.
-      if (retry_.degraded_ok &&
-          responders.size() >=
-              std::max<std::size_t>(retry_.min_degraded_acks, 1)) {
-        return OpOutcome{OpStatus::kDegraded, responders.size()};
-      }
-      return OpOutcome{OpStatus::kTimedOut, responders.size()};
+      return access.settle(retry_);
     }
     ++attempt;
     ++retries_;
@@ -159,44 +142,37 @@ BlockingRegisterClient::OpOutcome BlockingRegisterClient::run_op(
 std::optional<BlockingReadResult> BlockingRegisterClient::read(RegisterId reg) {
   OpId op = next_op_++;
   const double started = wall_seconds();
-  Timestamp best_ts = 0;
-  Value best_value;
-  OpOutcome outcome =
-      run_op(reg, /*is_read=*/true, op, 0, Value{}, best_ts, best_value);
-  last_status_ = outcome.status;
-  if (outcome.status == OpStatus::kShutdown) return std::nullopt;
-  if (outcome.status == OpStatus::kTimedOut) {
+  QuorumAccess access;
+  const OpStatus status =
+      run_op(reg, /*is_read=*/true, op, 0, Value{}, access);
+  last_status_ = status;
+  if (status == OpStatus::kShutdown) return std::nullopt;
+  if (status == OpStatus::kTimedOut) {
     ++op_failures_;
     if (instruments_.op_failures != nullptr) instruments_.op_failures->inc();
     return std::nullopt;
   }
 
   BlockingReadResult result;
-  result.ts = best_ts;
-  result.value = std::move(best_value);
-  result.status = outcome.status;
-  result.acks = outcome.acks;
-  if (outcome.status == OpStatus::kDegraded) {
+  result.status = status;
+  result.acks = access.responders.size();
+  if (status == OpStatus::kDegraded) {
     result.staleness_bound = util::asymmetric_nonoverlap_probability(
         quorums_.num_servers(),
-        quorums_.quorum_size(quorum::AccessKind::kWrite), outcome.acks);
+        quorums_.quorum_size(quorum::AccessKind::kWrite), result.acks);
     if (instruments_.degraded_reads != nullptr) {
       instruments_.degraded_reads->inc();
     }
   }
-  if (monotone_) {
-    TimestampedValue& cached = monotone_cache_[reg];
-    if (cached.ts > result.ts) {
-      result.ts = cached.ts;
-      result.value = cached.value;
-      result.from_monotone_cache = true;
-      ++monotone_cache_hits_;
-      if (instruments_.cache_hits != nullptr) instruments_.cache_hits->inc();
-    } else {
-      cached.ts = result.ts;
-      cached.value = result.value;
-    }
+  if (monotone_ &&
+      QuorumAccess::serve_monotone(monotone_cache_[reg], access.best_ts,
+                                   access.best_value)) {
+    result.from_monotone_cache = true;
+    ++monotone_cache_hits_;
+    if (instruments_.cache_hits != nullptr) instruments_.cache_hits->inc();
   }
+  result.ts = access.best_ts;
+  result.value = std::move(access.best_value);
   const double elapsed = wall_seconds() - started;
   read_latency_.add(elapsed);
   if (instruments_.reads != nullptr) instruments_.reads->inc();
@@ -211,18 +187,17 @@ std::optional<Timestamp> BlockingRegisterClient::write(RegisterId reg,
   OpId op = next_op_++;
   const double started = wall_seconds();
   Timestamp ts = ++write_ts_[reg];
-  Timestamp unused_ts = 0;
-  Value unused_value;
-  OpOutcome outcome =
-      run_op(reg, /*is_read=*/false, op, ts, value, unused_ts, unused_value);
-  last_status_ = outcome.status;
-  if (outcome.status == OpStatus::kShutdown) return std::nullopt;
-  if (outcome.status == OpStatus::kTimedOut) {
+  QuorumAccess access;
+  const OpStatus status =
+      run_op(reg, /*is_read=*/false, op, ts, value, access);
+  last_status_ = status;
+  if (status == OpStatus::kShutdown) return std::nullopt;
+  if (status == OpStatus::kTimedOut) {
     ++op_failures_;
     if (instruments_.op_failures != nullptr) instruments_.op_failures->inc();
     return std::nullopt;
   }
-  if (outcome.status == OpStatus::kDegraded &&
+  if (status == OpStatus::kDegraded &&
       instruments_.degraded_writes != nullptr) {
     instruments_.degraded_writes->inc();
   }

@@ -5,9 +5,11 @@
 ///
 /// Same protocol as QuorumRegisterClient, written in direct style: the
 /// calling thread sends the quorum requests and blocks on its mailbox until
-/// the quorum has answered.  One client object per thread (it owns the
-/// thread's NodeId mailbox); monotone caching is per client, matching the
-/// per-process cache of §6.2.
+/// the quorum has answered.  Both clients keep an access's responders, best
+/// answer, deadline settle rule and monotone cache rule in one
+/// core::QuorumAccess (core/quorum_access.hpp); only the waiting differs.
+/// One client object per thread (it owns the thread's NodeId mailbox);
+/// monotone caching is per client, matching the per-process cache of §6.2.
 ///
 /// Recovery (docs/FAULTS.md): the same core::RetryPolicy the DES client
 /// uses, in wall-clock seconds.  When an attempt's timeout expires the
@@ -21,6 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/quorum_access.hpp"
 #include "core/register_types.hpp"
 #include "net/thread_transport.hpp"
 #include "obs/metrics.hpp"
@@ -87,24 +90,16 @@ class BlockingRegisterClient {
 
   enum class Await { kDone, kTimeout, kShutdown };
 
-  /// How one whole operation (all attempts) ended.
-  struct OpOutcome {
-    OpStatus status = OpStatus::kOk;
-    std::size_t acks = 0;
-  };
-
-  /// Collects acks for \p op until \p needed distinct servers answered,
-  /// the optional wall-clock deadline \p until passes, or shutdown.
-  /// Responders accumulate across calls (retry attempts share the op id).
-  Await await_acks(OpId op, net::MsgType expected, std::size_t needed,
-                   std::vector<NodeId>& responders, Timestamp& best_ts,
-                   Value& best_value,
+  /// Feeds acks for \p op into \p access until it completes, the optional
+  /// wall-clock deadline \p until passes, or shutdown.  Responders
+  /// accumulate across calls (retry attempts share the op id).
+  Await await_acks(OpId op, net::MsgType expected, QuorumAccess& access,
                    const std::optional<Clock::time_point>& until);
 
-  /// Runs the attempt/backoff/deadline loop for one operation.
-  OpOutcome run_op(RegisterId reg, bool is_read, OpId op, Timestamp write_ts,
-                   const Value& write_value, Timestamp& best_ts,
-                   Value& best_value);
+  /// Runs the attempt/backoff/deadline loop for one operation and returns
+  /// how it ended; \p access holds its responders and best answer.
+  OpStatus run_op(RegisterId reg, bool is_read, OpId op, Timestamp write_ts,
+                  const Value& write_value, QuorumAccess& access);
 
   net::ThreadTransport& transport_;
   NodeId self_;

@@ -1,6 +1,5 @@
 #include "core/byzantine.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "util/check.hpp"
@@ -55,105 +54,6 @@ void ByzantineServerProcess::on_message(NodeId from, net::Message msg) {
     }
   }
   PQRA_CHECK(false, "unknown Byzantine mode");
-}
-
-MaskingRegisterClient::MaskingRegisterClient(
-    sim::Simulator& simulator, net::Transport& transport, NodeId self,
-    const quorum::QuorumSystem& quorums, NodeId server_base,
-    const util::Rng& rng, std::size_t fault_bound)
-    : simulator_(simulator),
-      transport_(transport),
-      self_(self),
-      quorums_(quorums),
-      server_base_(server_base),
-      rng_(rng.fork(0x6d61736b696e6700ULL ^ self)),
-      fault_bound_(fault_bound) {
-  transport_.register_receiver(self_, this);
-}
-
-void MaskingRegisterClient::read(RegisterId reg, ReadCallback cb) {
-  PQRA_REQUIRE(static_cast<bool>(cb), "read needs a callback");
-  OpId op = next_op_++;
-  PendingOp pending;
-  pending.is_read = true;
-  pending.reg = reg;
-  pending.needed = quorums_.quorum_size(quorum::AccessKind::kRead);
-  pending.read_cb = std::move(cb);
-  auto [it, inserted] = pending_.emplace(op, std::move(pending));
-  PQRA_CHECK(inserted, "op id collision");
-  for (quorum::ServerId s : quorums_.sample(quorum::AccessKind::kRead, rng_)) {
-    transport_.send(self_, server_base_ + s, net::Message::read_req(reg, op));
-  }
-}
-
-void MaskingRegisterClient::write(RegisterId reg, Value value,
-                                  WriteCallback cb) {
-  PQRA_REQUIRE(static_cast<bool>(cb), "write needs a callback");
-  OpId op = next_op_++;
-  Timestamp ts = ++write_ts_[reg];
-  PendingOp pending;
-  pending.is_read = false;
-  pending.reg = reg;
-  pending.needed = quorums_.quorum_size(quorum::AccessKind::kWrite);
-  pending.write_cb = std::move(cb);
-  pending.write_ts = ts;
-  auto [it, inserted] = pending_.emplace(op, std::move(pending));
-  PQRA_CHECK(inserted, "op id collision");
-  for (quorum::ServerId s :
-       quorums_.sample(quorum::AccessKind::kWrite, rng_)) {
-    transport_.send(self_, server_base_ + s,
-                    net::Message::write_req(reg, op, ts, value));
-  }
-}
-
-void MaskingRegisterClient::on_message(NodeId from, net::Message msg) {
-  auto it = pending_.find(msg.op);
-  if (it == pending_.end()) return;
-  PendingOp& pending = it->second;
-  for (NodeId seen : pending.responders) {
-    if (seen == from) return;
-  }
-  pending.responders.push_back(from);
-  if (pending.is_read) {
-    PQRA_CHECK(msg.type == net::MsgType::kReadAck, "ack type mismatch");
-    pending.answers.push_back(TimestampedValue{msg.ts, std::move(msg.value)});
-  }
-  if (pending.responders.size() < pending.needed) return;
-
-  if (pending.is_read) {
-    complete_read(msg.op, pending);
-  } else {
-    Timestamp ts = pending.write_ts;
-    WriteCallback cb = std::move(pending.write_cb);
-    pending_.erase(msg.op);
-    cb(ts);
-  }
-}
-
-void MaskingRegisterClient::complete_read(OpId op, PendingOp& pending) {
-  // Count vouchers per distinct (ts, value) pair; accept the largest ts with
-  // at least b+1 of them.
-  MaskedReadResult result;
-  for (std::size_t i = 0; i < pending.answers.size(); ++i) {
-    const TimestampedValue& candidate = pending.answers[i];
-    if (result.vouched && candidate.ts <= result.ts) continue;
-    std::size_t vouchers = 0;
-    for (const TimestampedValue& other : pending.answers) {
-      if (other.ts == candidate.ts && other.value == candidate.value) {
-        ++vouchers;
-      }
-    }
-    if (vouchers >= fault_bound_ + 1) {
-      result.vouched = true;
-      result.ts = candidate.ts;
-      result.value = candidate.value;
-    }
-  }
-  if (!result.vouched) ++unvouched_reads_;
-
-  ReadCallback cb = std::move(pending.read_cb);
-  pending_.erase(op);
-  cb(std::move(result));
 }
 
 }  // namespace pqra::core

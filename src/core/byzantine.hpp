@@ -1,27 +1,22 @@
 #pragma once
 
 /// \file byzantine.hpp
-/// Byzantine fault injection and the masking-quorum register client.
+/// Byzantine fault injection: replica servers that lie.
 ///
 /// The paper (§4) simplifies Malkhi–Reiter's register "to assume only one
 /// writer and absence of failures".  This module restores the fault model
 /// that motivated probabilistic quorums in the first place: up to b replica
-/// servers may lie arbitrarily.  The masking rule (Malkhi–Reiter–Wright):
-/// a read accepts the highest-timestamped (ts, value) pair *vouched for by
-/// at least b+1 distinct servers* — b colluding liars cannot fabricate such
-/// a pair, and when the read quorum overlaps the write quorum in >= 2b+1
-/// servers (probability 1 - masking_error_probability(n, k, b)), at least
-/// b+1 correct servers vouch for the latest genuine write.
-
-#include <functional>
-#include <unordered_map>
+/// servers may lie arbitrarily.  The client side is the masking rule of
+/// Malkhi–Reiter–Wright, QuorumRegisterClient with ClientOptions::
+/// fault_bound = b: a read accepts the highest-timestamped (ts, value) pair
+/// *vouched for by at least b+1 distinct servers* — b colluding liars cannot
+/// fabricate such a pair, and when the read quorum overlaps the write
+/// quorum in >= 2b+1 servers (probability 1 - masking_error_probability(n,
+/// k, b)), at least b+1 correct servers vouch for the latest genuine write.
 
 #include "core/replica.hpp"
 #include "core/register_types.hpp"
 #include "net/transport.hpp"
-#include "quorum/quorum_system.hpp"
-#include "sim/simulator.hpp"
-#include "util/rng.hpp"
 
 namespace pqra::core {
 
@@ -59,66 +54,5 @@ class ByzantineServerProcess final : public net::Receiver {
 
 /// The (ts, value) all kFabricateHighTs servers collude on.
 net::Message fabricated_read_ack(RegisterId reg, OpId op);
-
-struct MaskedReadResult {
-  /// False when no pair had b+1 vouchers (the read could not mask the
-  /// faults; with retries the caller may simply try again).
-  bool vouched = false;
-  Timestamp ts = 0;
-  Value value;
-};
-
-/// Read/write client applying the b-masking rule over any quorum system.
-class MaskingRegisterClient final : public net::Receiver {
- public:
-  // Per-op completion callbacks: constructed once per client operation and
-  // amortized over the k-message quorum fan-out; the per-event fire path
-  // stays on sim::EventFn.
-  // pqra-lint: allow(hotpath-function) — per-op completion callback
-  using ReadCallback = std::function<void(MaskedReadResult)>;
-  // pqra-lint: allow(hotpath-function) — per-op completion callback
-  using WriteCallback = std::function<void(Timestamp)>;
-
-  MaskingRegisterClient(sim::Simulator& simulator, net::Transport& transport,
-                        NodeId self, const quorum::QuorumSystem& quorums,
-                        NodeId server_base, const util::Rng& rng,
-                        std::size_t fault_bound);
-
-  void read(RegisterId reg, ReadCallback cb);
-  void write(RegisterId reg, Value value, WriteCallback cb);
-
-  void on_message(NodeId from, net::Message msg) override;
-
-  std::size_t fault_bound() const { return fault_bound_; }
-  std::uint64_t unvouched_reads() const { return unvouched_reads_; }
-
- private:
-  struct PendingOp {
-    bool is_read = true;
-    RegisterId reg = 0;
-    std::size_t needed = 0;
-    std::vector<NodeId> responders;
-    /// All (ts, value) answers of a read, for the vouching count.
-    std::vector<TimestampedValue> answers;
-    ReadCallback read_cb;
-    WriteCallback write_cb;
-    Timestamp write_ts = 0;
-  };
-
-  void complete_read(OpId op, PendingOp& pending);
-
-  sim::Simulator& simulator_;
-  net::Transport& transport_;
-  NodeId self_;
-  const quorum::QuorumSystem& quorums_;
-  NodeId server_base_;
-  util::Rng rng_;
-  std::size_t fault_bound_;
-
-  OpId next_op_ = 1;
-  std::unordered_map<OpId, PendingOp> pending_;
-  std::unordered_map<RegisterId, Timestamp> write_ts_;
-  std::uint64_t unvouched_reads_ = 0;
-};
 
 }  // namespace pqra::core

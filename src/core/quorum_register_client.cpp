@@ -11,6 +11,21 @@
 
 namespace pqra::core {
 
+namespace {
+constexpr std::uint64_t kCounterBits = 48;
+constexpr std::uint64_t kWriterMask = (1ULL << 16) - 1;
+}  // namespace
+
+Timestamp pack_tag(const Tag& tag) {
+  PQRA_REQUIRE(tag.counter < (1ULL << kCounterBits), "counter overflow");
+  PQRA_REQUIRE(tag.writer <= kWriterMask, "writer id must fit in 16 bits");
+  return (tag.counter << 16) | tag.writer;
+}
+
+Tag unpack_tag(Timestamp ts) {
+  return Tag{ts >> 16, static_cast<std::uint32_t>(ts & kWriterMask)};
+}
+
 QuorumRegisterClient::QuorumRegisterClient(
     sim::Simulator& simulator, net::Transport& transport, NodeId self,
     const quorum::QuorumSystem& quorums, NodeId server_base,
@@ -77,7 +92,8 @@ void QuorumRegisterClient::record_trace(obs::TraceOpKind kind,
   ev.from_cache = from_cache;
   ev.attempts = pending.attempt + 1;
   ev.stale_depth = kind == obs::TraceOpKind::kRead ? pending.stale_depth : 0;
-  ev.quorum.assign(pending.responders.begin(), pending.responders.end());
+  ev.quorum.assign(pending.access.responders.begin(),
+                   pending.access.responders.end());
   options_.trace->record(std::move(ev));
 }
 
@@ -123,7 +139,8 @@ void QuorumRegisterClient::close_op_span(PendingOp& pending,
   rec.from_cache = from_cache;
   rec.attempt = pending.attempt + 1;
   rec.stale_depth = pending.stale_depth;
-  rec.quorum.assign(pending.responders.begin(), pending.responders.end());
+  rec.quorum.assign(pending.access.responders.begin(),
+                    pending.access.responders.end());
   rec.fresh.assign(pending.fresh.begin(), pending.fresh.end());
   options_.spans->finish(pending.root_span, status, simulator_.now());
   pending.root_span = 0;
@@ -151,7 +168,8 @@ obs::SpanStatus span_status_of(OpStatus status) {
 }  // namespace
 
 QuorumRegisterClient::PendingOp& QuorumRegisterClient::emplace_pending(
-    OpId op) {
+    OpId op, Phase phase, RegisterId reg) {
+  PendingOp* pending = nullptr;
   if (!pending_pool_.empty()) {
     auto node = std::move(pending_pool_.back());
     pending_pool_.pop_back();
@@ -159,11 +177,20 @@ QuorumRegisterClient::PendingOp& QuorumRegisterClient::emplace_pending(
     node.mapped().reset();
     auto result = pending_.insert(std::move(node));
     PQRA_CHECK(result.inserted, "op id collision");
-    return result.position->second;
+    pending = &result.position->second;
+  } else {
+    auto [it, inserted] = pending_.try_emplace(op);
+    PQRA_CHECK(inserted, "op id collision");
+    pending = &it->second;
   }
-  auto [it, inserted] = pending_.try_emplace(op);
-  PQRA_CHECK(inserted, "op id collision");
-  return it->second;
+  pending->phase = phase;
+  pending->reg = reg;
+  pending->access.fault_bound = options_.fault_bound;
+  const auto kind = phase == Phase::kWrite ? quorum::AccessKind::kWrite
+                                           : quorum::AccessKind::kRead;
+  pending->access.begin_phase(quorums_.quorum_size(kind));
+  pending->started = simulator_.now();
+  return *pending;
 }
 
 void QuorumRegisterClient::erase_pending(OpId op) {
@@ -171,26 +198,26 @@ void QuorumRegisterClient::erase_pending(OpId op) {
   if (!node.empty()) pending_pool_.push_back(std::move(node));
 }
 
-void QuorumRegisterClient::read(RegisterId reg, ReadCallback cb) {
-  PQRA_REQUIRE(static_cast<bool>(cb), "read needs a callback");
-  OpId op = next_op_++;
-  PendingOp& pending = emplace_pending(op);
-  pending.is_read = true;
-  pending.reg = reg;
-  pending.needed = quorums_.quorum_size(quorum::AccessKind::kRead);
-  pending.read_cb = std::move(cb);
-  pending.started = simulator_.now();
-  begin_op_span(op, pending, /*is_write=*/false, reg);
-  if (history_ != nullptr) {
-    pending.hist = history_->begin_read(self_, reg, simulator_.now());
-    pending.has_hist = true;
-  }
+void QuorumRegisterClient::start_op(OpId op, PendingOp& pending) {
+  begin_op_span(op, pending, /*is_write=*/!pending.is_read(), pending.reg);
   if (options_.retry.deadline.has_value()) {
     pending.has_deadline = true;
     pending.deadline_at = pending.started + *options_.retry.deadline;
   }
   send_to_quorum(op, pending);
   if (pending.has_deadline) arm_deadline(op);
+}
+
+void QuorumRegisterClient::read(RegisterId reg, ReadCallback cb) {
+  PQRA_REQUIRE(static_cast<bool>(cb), "read needs a callback");
+  OpId op = next_op_++;
+  PendingOp& pending = emplace_pending(op, Phase::kRead, reg);
+  pending.read_cb = std::move(cb);
+  if (history_ != nullptr) {
+    pending.hist = history_->begin_read(self_, reg, simulator_.now());
+    pending.has_hist = true;
+  }
+  start_op(op, pending);
 }
 
 void QuorumRegisterClient::read_snapshot(std::vector<RegisterId> regs,
@@ -202,15 +229,12 @@ void QuorumRegisterClient::read_snapshot(std::vector<RegisterId> regs,
   PQRA_REQUIRE(options_.ring == nullptr,
                "snapshot reads are whole-store accesses of one replica set; "
                "the sharded store reads per key (docs/SHARDING.md)");
+  PQRA_REQUIRE(options_.fault_bound == 0,
+               "snapshot reads do not support Byzantine masking");
   OpId op = next_op_++;
-  PendingOp& pending = emplace_pending(op);
-  pending.is_read = true;
+  PendingOp& pending = emplace_pending(op, Phase::kRead, net::kAllRegisters);
   pending.is_snapshot = true;
-  pending.reg = net::kAllRegisters;
-  pending.needed = quorums_.quorum_size(quorum::AccessKind::kRead);
   pending.snap_cb = std::move(cb);
-  pending.started = simulator_.now();
-  begin_op_span(op, pending, /*is_write=*/false, net::kAllRegisters);
   if (history_ != nullptr) {
     pending.snap_hists.reserve(regs.size());
     for (RegisterId reg : regs) {
@@ -220,12 +244,7 @@ void QuorumRegisterClient::read_snapshot(std::vector<RegisterId> regs,
     pending.has_hist = true;
   }
   pending.snap_regs = std::move(regs);
-  if (options_.retry.deadline.has_value()) {
-    pending.has_deadline = true;
-    pending.deadline_at = pending.started + *options_.retry.deadline;
-  }
-  send_to_quorum(op, pending);
-  if (pending.has_deadline) arm_deadline(op);
+  start_op(op, pending);
 }
 
 void QuorumRegisterClient::write(RegisterId reg, Value value,
@@ -233,29 +252,34 @@ void QuorumRegisterClient::write(RegisterId reg, Value value,
   PQRA_REQUIRE(static_cast<bool>(cb), "write needs a callback");
   OpId op = next_op_++;
   Timestamp ts = ++write_ts_.entry(reg);
-  PendingOp& pending = emplace_pending(op);
-  pending.is_read = false;
-  pending.reg = reg;
-  pending.needed = quorums_.quorum_size(quorum::AccessKind::kWrite);
+  PendingOp& pending = emplace_pending(op, Phase::kWrite, reg);
   pending.write_cb = std::move(cb);
   pending.write_ts = ts;
   pending.write_value = std::move(value);
-  pending.started = simulator_.now();
-  begin_op_span(op, pending, /*is_write=*/true, reg);
   if (history_ != nullptr) {
     pending.hist = history_->begin_write(self_, reg, simulator_.now(), ts);
     pending.has_hist = true;
   }
-  if (options_.retry.deadline.has_value()) {
-    pending.has_deadline = true;
-    pending.deadline_at = pending.started + *options_.retry.deadline;
-  }
-  send_to_quorum(op, pending);
-  if (pending.has_deadline) arm_deadline(op);
+  start_op(op, pending);
+}
+
+void QuorumRegisterClient::write_tagged(RegisterId reg, Value value,
+                                        WriteCallback cb) {
+  PQRA_REQUIRE(static_cast<bool>(cb), "write needs a callback");
+  PQRA_REQUIRE(history_ == nullptr,
+               "tagged writes are not recordable: the spec checkers assume "
+               "one writer per register");
+  PQRA_REQUIRE(self_ <= kWriterMask,
+               "the client's NodeId is its writer id and must fit in 16 bits");
+  OpId op = next_op_++;
+  PendingOp& pending = emplace_pending(op, Phase::kTagQuery, reg);
+  pending.write_cb = std::move(cb);
+  pending.write_value = std::move(value);
+  start_op(op, pending);
 }
 
 void QuorumRegisterClient::send_to_quorum(OpId op, PendingOp& pending) {
-  bool sends_reads = pending.is_read && !pending.in_write_back;
+  const bool sends_reads = pending.sends_reads();
   auto kind =
       sends_reads ? quorum::AccessKind::kRead : quorum::AccessKind::kWrite;
   // Per-access quorum draw into reusable scratch: pick() samples in place,
@@ -294,9 +318,9 @@ void QuorumRegisterClient::send_to_quorum(OpId op, PendingOp& pending) {
   net::Message msg;
   if (sends_reads) {
     msg = net::Message::read_req(pending.reg, op);
-  } else if (pending.in_write_back) {
-    msg = net::Message::write_req(pending.reg, op, pending.best_ts,
-                                  pending.best_value);
+  } else if (pending.phase == Phase::kWriteBack) {
+    msg = net::Message::write_req(pending.reg, op, pending.access.best_ts,
+                                  pending.access.best_value);
   } else {
     msg = net::Message::write_req(pending.reg, op, pending.write_ts,
                                   pending.write_value);
@@ -378,27 +402,28 @@ void QuorumRegisterClient::arm_deadline(OpId op) {
 }
 
 void QuorumRegisterClient::finish_deadline(OpId op, PendingOp& pending) {
-  const RetryPolicy& policy = options_.retry;
-  const std::size_t acks = pending.responders.size();
-  if (!policy.degraded_ok || acks < std::max<std::size_t>(
-                                 policy.min_degraded_acks, 1)) {
+  // A tagged write still querying has installed nothing: there is no
+  // partial result to degrade to.
+  if (pending.phase == Phase::kTagQuery ||
+      pending.access.settle(options_.retry) == OpStatus::kTimedOut) {
     fail_op(op, pending);
     return;
   }
   pending.status = OpStatus::kDegraded;
   const auto n = static_cast<std::uint64_t>(quorums_.num_servers());
-  if (pending.in_write_back) {
+  const std::size_t acks = pending.access.responders.size();
+  if (pending.phase == Phase::kWriteBack) {
     // The read itself resolved; only the write-back phase is short.  Deliver
     // the value — atomicity degrades, regularity does not.
     deliver_read(op, pending);
-  } else if (pending.is_snapshot) {
+  } else if (pending.phase == Phase::kRead) {
     pending.staleness_bound = util::asymmetric_nonoverlap_probability(
         n, quorums_.quorum_size(quorum::AccessKind::kWrite), acks);
-    complete_snapshot(op, pending);
-  } else if (pending.is_read) {
-    pending.staleness_bound = util::asymmetric_nonoverlap_probability(
-        n, quorums_.quorum_size(quorum::AccessKind::kWrite), acks);
-    complete_read(op, pending);
+    if (pending.is_snapshot) {
+      complete_snapshot(op, pending);
+    } else {
+      complete_read(op, pending);
+    }
   } else {
     pending.staleness_bound = util::asymmetric_nonoverlap_probability(
         n, acks, quorums_.quorum_size(quorum::AccessKind::kRead));
@@ -421,7 +446,7 @@ void QuorumRegisterClient::fail_op(OpId op, PendingOp& pending) {
     for (ReadResult& r : results) r.status = OpStatus::kTimedOut;
     erase_pending(op);
     cb(std::move(results));
-  } else if (pending.is_read) {
+  } else if (pending.is_read()) {
     ReadCallback cb = std::move(pending.read_cb);
     erase_pending(op);
     ReadResult result;
@@ -432,7 +457,7 @@ void QuorumRegisterClient::fail_op(OpId op, PendingOp& pending) {
     WriteResult result;
     result.ts = pending.write_ts;
     result.status = OpStatus::kTimedOut;
-    result.acks = pending.responders.size();
+    result.acks = pending.access.responders.size();
     erase_pending(op);
     cb(result);
   }
@@ -445,18 +470,14 @@ void QuorumRegisterClient::on_message(NodeId from, net::Message msg) {
   }
   PendingOp& pending = it->second;
   PQRA_CHECK(msg.reg == pending.reg, "ack for the wrong register");
-  bool expects_read_acks = pending.is_read && !pending.in_write_back;
+  const bool expects_read_acks = pending.sends_reads();
   if (expects_read_acks != (msg.type == net::MsgType::kReadAck)) {
-    // Stale ack from the read phase of an op that has moved on to its
-    // write-back phase (possible with retries); ignore.
+    // Stale ack from the first phase of an op that has moved on to its
+    // second (possible with retries); ignore.
     return;
   }
-
   // Deduplicate per server: with retries a server may answer twice.
-  for (NodeId seen : pending.responders) {
-    if (seen == from) return;
-  }
-  pending.responders.push_back(from);
+  if (!pending.access.add_responder(from)) return;
   if (pending.root_span != 0) close_rpc_span(pending, from, msg.ts);
 
   if (expects_read_acks) {
@@ -474,22 +495,37 @@ void QuorumRegisterClient::on_message(NodeId from, net::Message msg) {
       if (options_.read_repair || pending.root_span != 0) {
         pending.responder_ts.push_back(msg.ts);
       }
-      if (msg.ts >= pending.best_ts) {
-        pending.best_ts = msg.ts;
-        pending.best_value = std::move(msg.value);
-      }
+      pending.access.add_answer(msg.ts, std::move(msg.value));
     }
   }
-  if (pending.responders.size() < pending.needed) return;
+  if (!pending.access.complete()) return;
 
-  if (pending.in_write_back) {
-    deliver_read(msg.op, pending);
-  } else if (pending.is_snapshot) {
-    complete_snapshot(msg.op, pending);
-  } else if (pending.is_read) {
-    complete_read(msg.op, pending);
-  } else {
-    complete_write(msg.op, pending);
+  switch (pending.phase) {
+    case Phase::kRead:
+      if (pending.is_snapshot) {
+        complete_snapshot(msg.op, pending);
+      } else {
+        complete_read(msg.op, pending);
+      }
+      return;
+    case Phase::kWriteBack:
+      deliver_read(msg.op, pending);
+      return;
+    case Phase::kTagQuery: {
+      // Install strictly above every tag seen AND every tag this writer
+      // issued: the query can miss its own past writes on probabilistic
+      // quorums.
+      pending.access.select_answer();
+      Timestamp& own = write_ts_.entry(pending.reg);
+      const std::uint64_t seen = unpack_tag(pending.access.best_ts).counter;
+      const std::uint64_t counter = std::max(seen, unpack_tag(own).counter);
+      own = pending.write_ts = pack_tag(Tag{counter + 1, self_});
+      start_second_phase(msg.op, pending, Phase::kWrite);
+      return;
+    }
+    case Phase::kWrite:
+      complete_write(msg.op, pending);
+      return;
   }
 }
 
@@ -503,22 +539,16 @@ void QuorumRegisterClient::complete_snapshot(OpId op, PendingOp& pending) {
     result.ts = best.ts;
     result.value = std::move(best.value);
     result.status = pending.status;
-    result.acks = pending.responders.size();
+    result.acks = pending.access.responders.size();
     result.staleness_bound = pending.staleness_bound;
     Timestamp& seen = max_seen_ts_.entry(reg);
     pending.stale_depth = seen > result.ts ? seen - result.ts : 0;
-    if (options_.monotone) {
-      TimestampedValue& cached = monotone_cache_.entry(reg);
-      if (cached.ts > result.ts) {
-        result.ts = cached.ts;
-        result.value = cached.value;
-        result.from_monotone_cache = true;
-        ++counters_.monotone_cache_hits;
-        if (instruments_.cache_hits != nullptr) instruments_.cache_hits->inc();
-      } else {
-        cached.ts = result.ts;
-        cached.value = result.value;
-      }
+    if (options_.monotone &&
+        QuorumAccess::serve_monotone(monotone_cache_.entry(reg), result.ts,
+                                     result.value)) {
+      result.from_monotone_cache = true;
+      ++counters_.monotone_cache_hits;
+      if (instruments_.cache_hits != nullptr) instruments_.cache_hits->inc();
     }
     if (seen < result.ts) seen = result.ts;
     if (instruments_.stale_depth != nullptr) {
@@ -556,54 +586,47 @@ void QuorumRegisterClient::complete_snapshot(OpId op, PendingOp& pending) {
 }
 
 void QuorumRegisterClient::complete_read(OpId op, PendingOp& pending) {
-  bool from_cache = false;
+  QuorumAccess& access = pending.access;
+  access.select_answer();
   {
     // Staleness depth t is judged against the quorum's answer, before the
     // monotone cache papers over it — the cache is the cure, not the
     // measurement.
     Timestamp seen = max_seen_ts_.entry(pending.reg);
-    pending.stale_depth =
-        seen > pending.best_ts ? seen - pending.best_ts : 0;
+    pending.stale_depth = seen > access.best_ts ? seen - access.best_ts : 0;
   }
   if (pending.root_span != 0) {
     // ε-intersection outcome: which responders held the quorum's freshest
     // timestamp — judged against the raw quorum answer for the same reason
     // as stale_depth above.
     for (std::size_t i = 0; i < pending.responder_ts.size(); ++i) {
-      if (pending.responder_ts[i] == pending.best_ts) {
-        pending.fresh.push_back(pending.responders[i]);
+      if (pending.responder_ts[i] == access.best_ts) {
+        pending.fresh.push_back(access.responders[i]);
       }
     }
   }
-  if (options_.monotone) {
-    TimestampedValue& cached = monotone_cache_.entry(pending.reg);
-    if (cached.ts > pending.best_ts) {
-      // The quorum only produced older values than we have already returned;
-      // [R4] requires re-returning the cached one (§6.2).
-      pending.best_ts = cached.ts;
-      pending.best_value = cached.value;
-      from_cache = true;
-      ++counters_.monotone_cache_hits;
-      if (instruments_.cache_hits != nullptr) instruments_.cache_hits->inc();
-    } else {
-      cached.ts = pending.best_ts;
-      cached.value = pending.best_value;
-    }
+  // The quorum may only have produced older values than this client already
+  // returned; [R4] then requires re-returning the cached one (§6.2).
+  if (options_.monotone &&
+      QuorumAccess::serve_monotone(monotone_cache_.entry(pending.reg),
+                                   access.best_ts, access.best_value)) {
+    pending.from_cache = true;
+    ++counters_.monotone_cache_hits;
+    if (instruments_.cache_hits != nullptr) instruments_.cache_hits->inc();
   }
   {
     Timestamp& seen = max_seen_ts_.entry(pending.reg);
-    if (seen < pending.best_ts) seen = pending.best_ts;
+    if (seen < access.best_ts) seen = access.best_ts;
   }
-  pending.from_cache = from_cache;
 
   if (options_.read_repair) {
-    send_read_repair(pending, pending.best_ts, pending.best_value);
+    send_read_repair(pending, access.best_ts, access.best_value);
   }
 
   if (options_.write_back && pending.status == OpStatus::kOk) {
     // Degraded reads skip the write-back phase: the deadline has already
     // expired, and the atomicity upgrade is forfeit anyway.
-    start_write_back(op, pending);
+    start_second_phase(op, pending, Phase::kWriteBack);
     return;
   }
   deliver_read(op, pending);
@@ -617,7 +640,8 @@ void QuorumRegisterClient::send_read_repair(const PendingOp& pending,
   fanout_scratch_.clear();
   for (std::size_t i = 0; i < pending.responder_ts.size(); ++i) {
     if (pending.responder_ts[i] >= ts) continue;
-    fanout_scratch_.push_back(net::FanoutEntry{pending.responders[i], 0});
+    fanout_scratch_.push_back(
+        net::FanoutEntry{pending.access.responders[i], 0});
     ++counters_.repairs_sent;
     if (instruments_.repairs != nullptr) instruments_.repairs->inc();
   }
@@ -628,27 +652,31 @@ void QuorumRegisterClient::send_read_repair(const PendingOp& pending,
                                                  value));
 }
 
-void QuorumRegisterClient::start_write_back(OpId op, PendingOp& pending) {
-  ++counters_.write_backs;
-  if (instruments_.write_backs != nullptr) instruments_.write_backs->inc();
-  // Read-phase RPC spans end here: a late ReadAck is ignored by on_message
-  // once the phase flips, so it must not be able to close anything.
+void QuorumRegisterClient::start_second_phase(OpId op, PendingOp& pending,
+                                              Phase phase) {
+  if (phase == Phase::kWriteBack) {
+    ++counters_.write_backs;
+    if (instruments_.write_backs != nullptr) instruments_.write_backs->inc();
+  }
+  // First-phase RPC spans end here: a late ack of that phase is ignored by
+  // on_message once the phase flips, so it must not be able to close
+  // anything.
   if (pending.root_span != 0) close_open_rpc_spans(pending);
-  pending.in_write_back = true;
-  pending.needed = quorums_.quorum_size(quorum::AccessKind::kWrite);
-  pending.responders.clear();
-  ++pending.attempt;  // invalidate read-phase retry timers
+  pending.phase = phase;
+  pending.access.begin_phase(quorums_.quorum_size(quorum::AccessKind::kWrite));
+  ++pending.attempt;  // invalidate first-phase retry timers
   send_to_quorum(op, pending);
 }
 
 void QuorumRegisterClient::deliver_read(OpId op, PendingOp& pending) {
   ReadResult result;
-  result.ts = pending.best_ts;
-  result.value = std::move(pending.best_value);
+  result.ts = pending.access.best_ts;
+  result.value = std::move(pending.access.best_value);
   result.from_monotone_cache = pending.from_cache;
   result.status = pending.status;
-  result.acks = pending.responders.size();
+  result.acks = pending.access.responders.size();
   result.staleness_bound = pending.staleness_bound;
+  result.vouched = pending.access.vouched;
   if (pending.status == OpStatus::kDegraded) {
     ++counters_.degraded_reads;
     if (instruments_.degraded_reads != nullptr) {
@@ -706,7 +734,7 @@ void QuorumRegisterClient::complete_write(OpId op, PendingOp& pending) {
   WriteResult result;
   result.ts = ts;
   result.status = pending.status;
-  result.acks = pending.responders.size();
+  result.acks = pending.access.responders.size();
   result.staleness_bound = pending.staleness_bound;
   WriteCallback cb = std::move(pending.write_cb);
   erase_pending(op);

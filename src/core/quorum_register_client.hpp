@@ -16,6 +16,14 @@
 /// value any read of X has returned; when a read's quorum only yields older
 /// timestamps, the remembered value is returned instead.
 ///
+/// The two variants §4 cut away (§8) are single rules on the same paths:
+///   multi-writer: write_tagged() is the atomic write-back's two-phase
+///             shape — query a read quorum for the largest tag, then install
+///             pack_tag(max(seen, own) + 1, self) at a write quorum;
+///   Byzantine masking: with ClientOptions::fault_bound = b > 0 a read
+///             returns the largest (ts, value) vouched for by b+1 distinct
+///             responders instead of the running maximum.
+///
 /// The quorum system is pluggable, so instantiating this client with a
 /// strict system (majority / grid / FPP) yields the regular-register
 /// baseline used throughout §6.4.
@@ -44,6 +52,7 @@
 
 #include "core/keyspace/flat_table.hpp"
 #include "core/keyspace/hash_ring.hpp"
+#include "core/quorum_access.hpp"
 #include "core/register_types.hpp"
 #include "core/spec/history.hpp"
 #include "net/transport.hpp"
@@ -57,6 +66,22 @@
 
 namespace pqra::core {
 
+/// Multi-writer tag: totally ordered, unique per (counter, writer).
+struct Tag {
+  std::uint64_t counter = 0;
+  std::uint32_t writer = 0;
+
+  friend bool operator==(const Tag&, const Tag&) = default;
+  friend auto operator<=>(const Tag&, const Tag&) = default;
+};
+
+/// Packs a tag into a wire timestamp (counter in the high bits) so replica
+/// max-timestamp semantics implement lexicographic tag comparison.
+/// Counters are limited to 48 bits and writer ids to 16 — plenty for any
+/// simulated run (both checked).
+Timestamp pack_tag(const Tag& tag);
+Tag unpack_tag(Timestamp ts);
+
 struct ReadResult {
   Timestamp ts = 0;
   Value value;
@@ -68,6 +93,10 @@ struct ReadResult {
   /// Degraded reads only: probability the partial access set missed the
   /// latest write's quorum, C(n - k_w, acks) / C(n, acks).
   double staleness_bound = 0.0;
+  /// b-masking reads (ClientOptions::fault_bound > 0): false when no pair
+  /// had b+1 vouchers, in which case ts/value are the initial (0, empty).
+  /// Always true with fault_bound == 0.
+  bool vouched = true;
 };
 
 struct WriteResult {
@@ -121,6 +150,11 @@ struct ClientOptions {
   /// staleness math is unchanged: it already runs over n = group size.
   /// Snapshot reads (whole-store, single group) are not supported per key.
   const keyspace::HashRing* ring = nullptr;
+  /// Byzantine masking (Malkhi–Reiter–Wright): up to b = fault_bound
+  /// servers may lie, so a read returns the largest (ts, value) that b+1
+  /// distinct responders vouch for (ReadResult::vouched).  0 keeps the
+  /// plain running maximum.  Snapshot reads do not support masking.
+  std::size_t fault_bound = 0;
 };
 
 /// Per-client operation tallies.  This is the per-process attribution view
@@ -176,8 +210,18 @@ class QuorumRegisterClient final : public net::Receiver {
   void read_snapshot(std::vector<RegisterId> regs, SnapshotCallback cb);
 
   /// Starts a write of \p reg; \p cb fires when the quorum has acked.
-  /// This client must be the register's only writer.
+  /// This client must be the register's only writer (registers with
+  /// several writers use write_tagged).
   void write(RegisterId reg, Value value, WriteCallback cb);
+
+  /// Multi-writer write (§8): queries a read quorum for the largest tag,
+  /// then installs \p value under pack_tag(max(seen, own) + 1, id()) at a
+  /// write quorum; WriteResult::ts is that packed tag.  Over probabilistic
+  /// quorums the query may miss recent tags, so two writers can share a
+  /// counter — the writer id keeps tags unique, what is lost is write
+  /// order.  A write still querying at the deadline fails outright.  Not
+  /// recordable in a HistoryRecorder (the spec checkers are single-writer).
+  void write_tagged(RegisterId reg, Value value, WriteCallback cb);
 
   void on_message(NodeId from, net::Message msg) override;
 
@@ -193,16 +237,19 @@ class QuorumRegisterClient final : public net::Receiver {
   Timestamp last_written_ts(RegisterId reg) const;
 
  private:
+  /// What the op's current quorum access does: a read or its atomic-mode
+  /// write-back, a multi-writer write's tag query or an install.
+  enum class Phase : std::uint8_t { kRead, kWriteBack, kTagQuery, kWrite };
+
   struct PendingOp {
-    bool is_read = true;
+    Phase phase = Phase::kRead;
     bool is_snapshot = false;           ///< whole-store read
-    bool in_write_back = false;         ///< atomic-mode phase 2 in progress
     bool from_cache = false;            ///< result came from the §6.2 cache
     RegisterId reg = 0;
-    std::size_t needed = 0;             ///< quorum size
-    std::vector<NodeId> responders;     ///< distinct servers that acked
-    /// Timestamp each read responder reported (parallel to responders;
-    /// kept only when read repair or span tracing is on).
+    /// Responders, dedup and the best answer of the current phase.
+    QuorumAccess access;
+    /// Timestamp each read responder reported (parallel to
+    /// access.responders; kept only when read repair or span tracing is on).
     std::vector<Timestamp> responder_ts;
     /// Span state (obs/span.hpp).  root_span == 0 ⇔ this op is untraced
     /// (no sink, or not sampled); all other span work is gated on it.
@@ -216,8 +263,6 @@ class QuorumRegisterClient final : public net::Receiver {
     /// Responders that reported the quorum's best timestamp (the
     /// ε-intersection outcome), fixed in complete_read.
     std::vector<NodeId> fresh;
-    Timestamp best_ts = 0;
-    Value best_value;
     /// Snapshot state: requested registers, per-register best, callback and
     /// history handles (one recorded read per register).
     std::vector<RegisterId> snap_regs;
@@ -243,24 +288,27 @@ class QuorumRegisterClient final : public net::Receiver {
     spec::HistoryRecorder::OpHandle hist = 0;
     bool has_hist = false;
 
+    bool is_read() const {
+      return phase == Phase::kRead || phase == Phase::kWriteBack;
+    }
+    bool sends_reads() const {
+      return phase == Phase::kRead || phase == Phase::kTagQuery;
+    }
+
     /// Returns the op to its default-constructed state while keeping the
     /// capacity of every container — the whole point of recycling settled
     /// ops through pending_pool_ instead of freeing them.
     void reset() {
-      is_read = true;
+      phase = Phase::kRead;
       is_snapshot = false;
-      in_write_back = false;
       from_cache = false;
       reg = 0;
-      needed = 0;
-      responders.clear();
+      access.reset();
       responder_ts.clear();
       root_span = 0;
       rpc_servers.clear();
       rpc_spans.clear();
       fresh.clear();
-      best_ts = 0;
-      best_value = Value();
       snap_regs.clear();
       snap_best.clear();
       snap_cb = nullptr;
@@ -316,7 +364,11 @@ class QuorumRegisterClient final : public net::Receiver {
   /// Registers a fresh PendingOp under \p op, reusing a recycled map node
   /// (and its grown container capacities) when one is parked in
   /// pending_pool_ — the steady-state issue path then allocates nothing.
-  PendingOp& emplace_pending(OpId op);
+  /// Sets the op's phase, register, quorum size and start time.
+  PendingOp& emplace_pending(OpId op, Phase phase, RegisterId reg);
+
+  /// Opens the op's span, arms its deadline and sends its first phase.
+  void start_op(OpId op, PendingOp& pending);
 
   /// Removes the settled op and parks its node for reuse.  References into
   /// the PendingOp stay valid exactly as long as they did with a plain
@@ -335,7 +387,9 @@ class QuorumRegisterClient final : public net::Receiver {
   void complete_write(OpId op, PendingOp& pending);
   void send_read_repair(const PendingOp& pending, Timestamp ts,
                         const Value& value);
-  void start_write_back(OpId op, PendingOp& pending);
+  /// Moves the op to its second phase (kWriteBack or kWrite) on a fresh
+  /// write quorum.
+  void start_second_phase(OpId op, PendingOp& pending, Phase phase);
   void deliver_read(OpId op, PendingOp& pending);
   void complete_snapshot(OpId op, PendingOp& pending);
 

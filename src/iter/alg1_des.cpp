@@ -153,7 +153,7 @@ Alg1Result run_alg1(const AcoOperator& op, const Alg1Options& options) {
   const std::size_t n = quorums.num_servers();
 
   util::Rng master(options.seed);
-  sim::Simulator simulator{options.queue_mode};
+  sim::Simulator simulator;
   std::unique_ptr<sim::DelayModel> delays =
       options.synchronous ? sim::make_constant_delay(1.0)
                           : sim::make_exponential_delay(1.0);
@@ -309,7 +309,7 @@ Alg1Result run_alg1(const AcoOperator& op, const Alg1Options& options) {
               obs::GaugeMerge::kMax)
         .record_max(static_cast<double>(simulator.queue_high_water()));
     reg.counter(n::kSimQueueBucketResizes,
-                "Calendar-queue reorganizations (0 under PQRA_QUEUE=heap)")
+                "Calendar-queue reorganizations")
         .inc(simulator.queue_bucket_resizes());
     reg.counter(n::kSimEventHeapAllocs,
                 "Heap allocations by the event-closure path (arena chunk "

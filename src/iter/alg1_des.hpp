@@ -117,12 +117,6 @@ struct Alg1Options {
   /// (sim/profiler.hpp); only its deterministic fire counts are published
   /// into `metrics`.
   sim::Profiler* profiler = nullptr;
-
-  /// Event-queue implementation for the run's internally-owned simulator.
-  /// Defaults to the PQRA_QUEUE environment switch; the exploration
-  /// fuzzer's --queue-diff mode overrides it to run the same profile under
-  /// both implementations and compare fingerprints.
-  sim::QueueMode queue_mode = sim::queue_mode_from_env();
 };
 
 struct Alg1Result {

@@ -87,8 +87,7 @@ inline constexpr const char* kTransportMessagesByType[] = {
 // instrumented directly).
 inline constexpr const char* kSimEvents = "pqra_sim_events_total";
 inline constexpr const char* kSimHeapHighWater = "pqra_sim_heap_high_water";
-// Calendar-queue reorganizations (bucket-array grow/shrink + width retune);
-// always 0 under PQRA_QUEUE=heap.
+// Calendar-queue reorganizations (bucket-array grow/shrink + width retune).
 inline constexpr const char* kSimQueueBucketResizes =
     "pqra_sim_queue_bucket_resizes_total";
 inline constexpr const char* kSimTime = "pqra_sim_time";

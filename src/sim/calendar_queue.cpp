@@ -1,8 +1,6 @@
 #include "sim/calendar_queue.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "util/check.hpp"
@@ -12,8 +10,7 @@ namespace pqra::sim {
 namespace {
 
 /// Strict (time, seq) order inverted for std::push_heap/std::pop_heap so the
-/// *earliest* item surfaces — identical tie-break to the original Simulator
-/// heap, which is what keeps pop sequences byte-identical across modes.
+/// *earliest* item surfaces; seq breaks equal-time ties in schedule order.
 struct Later {
   bool operator()(const EventQueue::Item& a, const EventQueue::Item& b) const {
     if (a.t != b.t) return a.t > b.t;
@@ -41,19 +38,8 @@ constexpr double kWidthGapFactor = 2.0;
 
 }  // namespace
 
-QueueMode queue_mode_from_env() {
-  // Construction-time only; the hot path never touches the environment.
-  const char* v = std::getenv("PQRA_QUEUE");  // NOLINT(concurrency-mt-unsafe)
-  if (v != nullptr && std::strcmp(v, "heap") == 0) return QueueMode::kHeap;
-  return QueueMode::kCalendar;
-}
-
-EventQueue::EventQueue(QueueMode mode) : mode_(mode) {
-  if (mode_ == QueueMode::kCalendar) {
-    buckets_.resize(kMinBuckets);
-    bucket_mask_ = kMinBuckets - 1;
-  }
-}
+EventQueue::EventQueue()
+    : buckets_(kMinBuckets), bucket_mask_(kMinBuckets - 1) {}
 
 std::uint64_t EventQueue::day_of(Time t) const {
   const double d = t * inv_width_;
@@ -63,12 +49,6 @@ std::uint64_t EventQueue::day_of(Time t) const {
 }
 
 void EventQueue::push(Time t, std::uint64_t seq, EventTag tag, EventFn fn) {
-  if (mode_ == QueueMode::kHeap) {
-    heap_.push_back(Item{t, seq, std::move(fn), tag});
-    std::push_heap(heap_.begin(), heap_.end(), Later{});
-    ++size_;
-    return;
-  }
   if (size_ == 0) {
     // Empty calendar: re-anchor the cursor on the incoming item so a long
     // quiet gap does not have to be scanned day by day.
@@ -152,12 +132,6 @@ void EventQueue::locate() {
 EventQueue::Item EventQueue::pop() {
   PQRA_CHECK(size_ > 0, "pop() on an empty event queue");
   --size_;
-  if (mode_ == QueueMode::kHeap) {
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    Item item = std::move(heap_.back());
-    heap_.pop_back();
-    return item;
-  }
   locate();
   std::vector<Item>& b = buckets_[cur_day_ & bucket_mask_];
   std::pop_heap(b.begin(), b.end(), Later{});
@@ -186,7 +160,6 @@ EventQueue::Item EventQueue::pop() {
 
 Time EventQueue::min_time() {
   PQRA_CHECK(size_ > 0, "min_time() on an empty event queue");
-  if (mode_ == QueueMode::kHeap) return heap_.front().t;
   locate();
   return buckets_[cur_day_ & bucket_mask_].front().t;
 }

@@ -1,27 +1,19 @@
 #pragma once
 
 /// \file calendar_queue.hpp
-/// Pending-event set for the discrete-event simulator.
+/// Pending-event set for the discrete-event simulator: a calendar queue
+/// [Brown 1988] — a power-of-two array of day buckets, each a tiny
+/// (time, seq) min-heap, plus a far min-heap for events beyond the
+/// calendar's current year.  Insert and extract are amortized O(1) when the
+/// day width matches the observed inter-event gap; the width is retuned from
+/// deterministic pop-gap statistics at every lazy resize (4x grow at >2
+/// items/bucket, 4x shrink at <1/8).  See docs/PERFORMANCE.md for the tuning
+/// and determinism story.
 ///
-/// Two interchangeable implementations behind one EventQueue facade:
-///
-///  - kCalendar (default): a calendar queue [Brown 1988] — a power-of-two
-///    array of day buckets, each a tiny (time, seq) min-heap, plus a far
-///    min-heap for events beyond the calendar's current year.  Insert and
-///    extract are amortized O(1) when the day width matches the observed
-///    inter-event gap; the width is retuned from deterministic pop-gap
-///    statistics at every lazy resize (4x grow at >2 items/bucket, 4x
-///    shrink at <1/8).  See docs/PERFORMANCE.md for the tuning and
-///    determinism story.
-///
-///  - kHeap: the original single std::push_heap/std::pop_heap binary heap,
-///    kept behind the PQRA_QUEUE=heap escape hatch for one release so the
-///    determinism gates can diff the two queues event-for-event.
-///
-/// Both orders pops strictly by (time, seq) — the FIFO-at-equal-times
-/// contract every fingerprint/replay guarantee in the repository rests on —
-/// so for any push sequence the pop sequence is byte-identical across modes
-/// (asserted by the 10^6-op differential test in tests/sim).
+/// Pops come out strictly by (time, seq) — the FIFO-at-equal-times contract
+/// every fingerprint/replay guarantee in the repository rests on — asserted
+/// against a reference binary heap by the 10^6-op differential test in
+/// tests/sim.
 
 #include <cstddef>
 #include <cstdint>
@@ -33,16 +25,6 @@
 
 namespace pqra::sim {
 
-enum class QueueMode : std::uint8_t {
-  kCalendar,  ///< calendar queue, amortized O(1) (default)
-  kHeap,      ///< legacy binary heap, O(log n) (PQRA_QUEUE=heap)
-};
-
-/// Resolves the queue implementation from the PQRA_QUEUE environment
-/// variable ("calendar" | "heap"; unset or anything else means calendar).
-/// Read once per Simulator construction — never on the hot path.
-QueueMode queue_mode_from_env();
-
 class EventQueue {
  public:
   struct Item {
@@ -52,7 +34,7 @@ class EventQueue {
     EventTag tag;
   };
 
-  explicit EventQueue(QueueMode mode);
+  EventQueue();
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
@@ -71,10 +53,9 @@ class EventQueue {
 
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }
-  QueueMode mode() const { return mode_; }
 
-  /// Number of calendar grow/shrink reorganizations so far (0 in heap
-  /// mode); exported as pqra_sim_queue_bucket_resizes_total.
+  /// Number of calendar grow/shrink reorganizations so far; exported as
+  /// pqra_sim_queue_bucket_resizes_total.
   std::uint64_t bucket_resizes() const { return bucket_resizes_; }
 
  private:
@@ -95,14 +76,9 @@ class EventQueue {
 
   void push_calendar(Item item);
 
-  QueueMode mode_;
   std::size_t size_ = 0;
   std::uint64_t bucket_resizes_ = 0;
 
-  // kHeap state: one binary min-heap over (t, seq).
-  std::vector<Item> heap_;
-
-  // kCalendar state.
   std::vector<std::vector<Item>> buckets_;  // power-of-two count
   std::vector<Item> far_;                   // (t, seq) min-heap beyond window
   std::size_t bucket_mask_ = 0;             // buckets_.size() - 1

@@ -8,15 +8,14 @@
 /// the seed — this is what makes every experiment in the repository
 /// reproducible and every test deterministic.
 ///
-/// The pending-event set is an EventQueue (sim/calendar_queue.hpp): a
-/// calendar queue by default, the original binary heap behind
-/// PQRA_QUEUE=heap.  Both pop strictly by (time, seq), so the executed
-/// schedule — and therefore the fingerprint and every byte of output — is
-/// identical across modes.  Callbacks are EventFn (sim/event_fn.hpp), not
-/// std::function: small captures live inside the event and oversized ones in
-/// a recycled slab, so the schedule→fire path performs zero heap
-/// allocations — asserted by tests against alloc_stats(), not just by
-/// inspection.
+/// The pending-event set is an EventQueue (sim/calendar_queue.hpp), a
+/// calendar queue that pops strictly by (time, seq), so the executed
+/// schedule — and therefore the fingerprint and every byte of output — is a
+/// function of the schedule calls alone.  Callbacks are EventFn
+/// (sim/event_fn.hpp), not std::function: small captures live inside the
+/// event and oversized ones in a recycled slab, so the schedule→fire path
+/// performs zero heap allocations — asserted by tests against
+/// alloc_stats(), not just by inspection.
 ///
 /// Batched fan-out support: a caller scheduling k causally-related events
 /// (a quorum send) can reserve_seqs(k) up front, schedule only the earliest
@@ -39,11 +38,7 @@ namespace pqra::sim {
 
 class Simulator {
  public:
-  /// Queue implementation from PQRA_QUEUE (calendar unless =heap).
-  Simulator() : Simulator(queue_mode_from_env()) {}
-  /// Explicit queue choice — used by the differential tests and the
-  /// fuzzer's heap/calendar cross-check (tools/explore).
-  explicit Simulator(QueueMode mode) : queue_(mode) {}
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -138,10 +133,7 @@ class Simulator {
   std::size_t pending_events() const { return queue_.size(); }
   std::uint64_t events_processed() const { return processed_; }
 
-  /// Which pending-event structure this simulator runs on.
-  QueueMode queue_mode() const { return queue_.mode(); }
-
-  /// Calendar reorganizations so far (0 in heap mode); exported as
+  /// Calendar reorganizations so far; exported as
   /// pqra_sim_queue_bucket_resizes_total.
   std::uint64_t queue_bucket_resizes() const { return queue_.bucket_resizes(); }
 

@@ -105,6 +105,11 @@ TEST(DurabilityBaselineTest, PreDurabilityFingerprintsAreUnchanged) {
       {2, 12543841290810932016ULL, 13740, 52},
       {3, 9317799082449797467ULL, 181, 48},
       {4, 7740429695388118119ULL, 372, 37},
+      // Client phases seeds 0-4 never reach: write-back + read repair (11),
+      // snapshot reads (19), two writers per key + read repair (32).
+      {11, 7605767021303204420ULL, 750, 76},
+      {19, 1627200833178441631ULL, 1396, 130},
+      {32, 7970137909269995537ULL, 1151, 76},
   };
   for (const Pin& pin : pins) {
     const ScheduleProfile p = ScheduleProfile::from_seed(pin.seed);

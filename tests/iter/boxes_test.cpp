@@ -80,8 +80,11 @@ TEST(BoxOracleTest, ArcConsistencyBoxes) {
 }
 
 // --------------------------------------------------- Theorem 2 live invariant
+// The schedule name is held inline, not behind a pointer: gtest prints this
+// parameter byte by byte into the listed test name, and a pointer's bytes
+// change with every load address, so the registered names would too.
 struct InvariantCase {
-  const char* schedule;
+  char schedule[8];
   std::size_t staleness;
   std::uint64_t seed;
 };

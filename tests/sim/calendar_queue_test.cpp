@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <vector>
@@ -21,7 +22,7 @@ EventFn noop(EventArena& arena) {
 /// spread-out timestamps (forcing grows and width retunes) with a block of
 /// identical ones.
 TEST(CalendarQueue, SameTimestampFifoAcrossBucketBoundaries) {
-  EventQueue queue(QueueMode::kCalendar);
+  EventQueue queue;
   EventArena arena;
   std::uint64_t seq = 0;
   for (int i = 0; i < 256; ++i) {
@@ -57,7 +58,7 @@ TEST(CalendarQueue, SameTimestampFifoAcrossBucketBoundaries) {
 /// work at the current time (same day) or earlier than the located minimum;
 /// the calendar must honor both without missing events.
 TEST(CalendarQueue, ScheduleDuringFireReentrancy) {
-  Simulator sim{QueueMode::kCalendar};
+  Simulator sim;
   std::vector<int> order;
   sim.schedule_at(10.0, [&] {
     order.push_back(0);
@@ -75,7 +76,7 @@ TEST(CalendarQueue, ScheduleDuringFireReentrancy) {
 /// Events far beyond the calendar's day window land on the overflow list
 /// and must drain back into buckets as the cursor advances.
 TEST(CalendarQueue, FarFutureOverflowDrains) {
-  EventQueue queue(QueueMode::kCalendar);
+  EventQueue queue;
   EventArena arena;
   std::uint64_t seq = 0;
   // Near-term events establish a small day width...
@@ -103,28 +104,55 @@ TEST(CalendarQueue, FarFutureOverflowDrains) {
 }
 
 TEST(CalendarQueue, ScheduleInThePastThrows) {
-  Simulator sim{QueueMode::kCalendar};
+  Simulator sim;
   sim.schedule_at(2.0, [] {});
   sim.run();
   EXPECT_THROW(sim.schedule_at(1.0, [] {}), std::logic_error);
 }
 
 TEST(CalendarQueue, BatchSeqOutsideReservationThrows) {
-  Simulator sim{QueueMode::kCalendar};
+  Simulator sim;
   // seq 100 was never handed out by reserve_seqs().
   EXPECT_THROW(sim.schedule_batch(1.0, 100, EventTag::kGeneric, [] {}),
                std::logic_error);
 }
+
+/// Reference pending-event set for the differential test: one binary
+/// min-heap over (t, seq), the simulator's queue before the calendar.
+class ReferenceHeap {
+ public:
+  struct Entry {
+    Time t;
+    std::uint64_t seq;
+  };
+
+  void push(Time t, std::uint64_t seq) {
+    items_.push_back(Entry{t, seq});
+    std::push_heap(items_.begin(), items_.end(), later);
+  }
+  Entry pop() {
+    std::pop_heap(items_.begin(), items_.end(), later);
+    Entry e = items_.back();
+    items_.pop_back();
+    return e;
+  }
+  bool empty() const { return items_.empty(); }
+
+ private:
+  static bool later(const Entry& a, const Entry& b) {
+    return a.t != b.t ? a.t > b.t : a.seq > b.seq;
+  }
+  std::vector<Entry> items_;
+};
 
 /// The acceptance bar for the calendar queue: a randomized mixed workload
 /// (uniform, bimodal and heavy-tail delays; bursts of equal timestamps;
 /// interleaved pushes and pops) produces byte-identical pop sequences from
 /// the calendar and the reference binary heap.
 TEST(CalendarQueue, DifferentialVsHeapMillionOps) {
-  EventQueue calendar(QueueMode::kCalendar);
-  EventQueue heap(QueueMode::kHeap);
+  EventQueue calendar;
+  ReferenceHeap heap;
   EventArena arena_c;
-  EventArena arena_h;
   util::Rng rng(20260807);
 
   constexpr std::size_t kOps = 1000000;
@@ -147,11 +175,11 @@ TEST(CalendarQueue, DifferentialVsHeapMillionOps) {
         delay = 0.0;  // equal-timestamp burst
       }
       calendar.push(now + delay, seq, EventTag::kGeneric, noop(arena_c));
-      heap.push(now + delay, seq, EventTag::kGeneric, noop(arena_h));
+      heap.push(now + delay, seq);
       ++seq;
     } else {
       EventQueue::Item a = calendar.pop();
-      EventQueue::Item b = heap.pop();
+      ReferenceHeap::Entry b = heap.pop();
       ASSERT_EQ(a.t, b.t) << "divergence at op " << i;
       ASSERT_EQ(a.seq, b.seq) << "divergence at op " << i;
       now = a.t;
@@ -161,7 +189,7 @@ TEST(CalendarQueue, DifferentialVsHeapMillionOps) {
   while (!calendar.empty()) {
     ASSERT_FALSE(heap.empty());
     EventQueue::Item a = calendar.pop();
-    EventQueue::Item b = heap.pop();
+    ReferenceHeap::Entry b = heap.pop();
     ASSERT_EQ(a.t, b.t);
     ASSERT_EQ(a.seq, b.seq);
     ++compared;

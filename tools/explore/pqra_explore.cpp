@@ -57,11 +57,6 @@ struct CliOptions {
   /// profile is re-run once with a recorder bound to its transport and the
   /// last N message events land in `<repro>.flightrec.txt`.
   std::size_t flightrec = 0;
-  /// Run the sweep's first N seeds once per event-queue implementation
-  /// (PQRA_QUEUE=heap vs calendar) and assert identical fingerprints before
-  /// exploring (0 = off).  The calendar queue's equivalence bar
-  /// (docs/PERFORMANCE.md), wired into the nightly CI sweep.
-  std::size_t queue_diff = 0;
   bool no_shrink = false;
   bool quiet = false;
   /// Deterministically push every (non-alg1) from_seed profile into a
@@ -160,12 +155,6 @@ int usage(const char* argv0) {
          "                        flight recorder and dump the message tail\n"
          "                        to <repro>.flightrec.txt (default 0 = "
          "off)\n"
-      << "  --queue-diff N        before exploring, run the first N seeds\n"
-         "                        under both PQRA_QUEUE=heap and calendar "
-         "and\n"
-         "                        fail on any fingerprint divergence "
-         "(default\n"
-         "                        0 = off)\n"
       << "  --no-shrink           report violations without shrinking\n"
       << "  --force-multikey      push every explored profile into a "
          "multi-key\n"
@@ -306,49 +295,6 @@ int replay(const CliOptions& opt) {
   return ok ? 0 : 1;
 }
 
-/// --queue-diff: every seed's profile must execute the exact same event
-/// schedule under the binary heap and the calendar queue.  A divergence is
-/// a queue-ordering bug by construction (the two implementations only agree
-/// when both honor strict (time, seq) order), so it fails the sweep before
-/// any exploration happens.
-int queue_diff_check(const CliOptions& opt, pqra::sim::ParallelRunner& pool) {
-  struct ModePair {
-    RunOutcome heap;
-    RunOutcome calendar;
-  };
-  const std::uint64_t base = opt.have_range ? opt.seed_begin : opt.start_seed;
-  const std::vector<ModePair> pairs =
-      pool.map<ModePair>(opt.queue_diff, [base, &opt](std::size_t i) {
-        const ScheduleProfile profile = profile_for(base + i, opt);
-        return ModePair{
-            pqra::explore::run_profile(profile, pqra::sim::QueueMode::kHeap),
-            pqra::explore::run_profile(profile,
-                                       pqra::sim::QueueMode::kCalendar)};
-      });
-  std::size_t diverged = 0;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const ModePair& p = pairs[i];
-    if (p.heap.fingerprint == p.calendar.fingerprint &&
-        p.heap.events_processed == p.calendar.events_processed &&
-        p.heap.violation == p.calendar.violation &&
-        p.heap.rule == p.calendar.rule) {
-      continue;
-    }
-    ++diverged;
-    std::cerr << "QUEUE DIVERGENCE: seed=" << (base + i)
-              << "\n  heap:     fingerprint=" << p.heap.fingerprint
-              << " events=" << p.heap.events_processed
-              << " rule=" << (p.heap.violation ? p.heap.rule : "none")
-              << "\n  calendar: fingerprint=" << p.calendar.fingerprint
-              << " events=" << p.calendar.events_processed
-              << " rule=" << (p.calendar.violation ? p.calendar.rule : "none")
-              << "\n";
-  }
-  std::cout << "queue-diff: " << pairs.size() << " seed(s) from " << base
-            << ", " << diverged << " divergence(s)\n";
-  return diverged == 0 ? 0 : 1;
-}
-
 int explore(const CliOptions& opt) {
   namespace names = pqra::obs::names;
   pqra::obs::Registry registry;
@@ -368,10 +314,6 @@ int explore(const CliOptions& opt) {
       names::kExploreLastFingerprint, "Fingerprint of the last explored run");
 
   pqra::sim::ParallelRunner pool(opt.jobs);
-  if (opt.queue_diff > 0) {
-    const int rc = queue_diff_check(opt, pool);
-    if (rc != 0) return rc;
-  }
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -563,13 +505,6 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
       opt.flightrec = static_cast<std::size_t>(n);
-    } else if (arg == "--queue-diff") {
-      const char* v = next();
-      std::uint64_t n = 0;
-      if (v == nullptr || !parse_u64_arg(v, &n) || n == 0) {
-        return usage(argv[0]);
-      }
-      opt.queue_diff = static_cast<std::size_t>(n);
     } else if (arg == "--no-shrink") {
       opt.no_shrink = true;
     } else if (arg == "--force-multikey") {
@@ -584,7 +519,7 @@ int main(int argc, char** argv) {
   }
 
   if (!opt.replay_file.empty()) return replay(opt);
-  if (!opt.have_range && opt.minutes <= 0.0 && opt.queue_diff == 0) {
+  if (!opt.have_range && opt.minutes <= 0.0) {
     return usage(argv[0]);
   }
   return explore(opt);

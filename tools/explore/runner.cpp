@@ -226,7 +226,7 @@ struct ClientDriver {
 /// i's single writer); multi-key profiles spread keys_per_client keys per
 /// client over the keyspace, optionally Zipf-skewed reads, contended
 /// writers, and consistent-hash replica groups (docs/SHARDING.md).
-RunOutcome run_direct(const ScheduleProfile& p, sim::QueueMode mode,
+RunOutcome run_direct(const ScheduleProfile& p,
                       obs::FlightRecorder* recorder) {
   RunOutcome out;
   util::Rng master(p.seed);
@@ -243,7 +243,7 @@ RunOutcome run_direct(const ScheduleProfile& p, sim::QueueMode mode,
   // the wire is a position within the key's group, resolved per key.
   quorum::ProbabilisticQuorums quorums(sharded ? p.replicas : p.num_servers,
                                        p.quorum_size);
-  sim::Simulator sim{mode};
+  sim::Simulator sim;
   const std::unique_ptr<sim::DelayModel> delay = p.delay.make();
   net::SimTransport transport(sim, *delay, master.fork(10),
                               static_cast<net::NodeId>(p.num_servers + c));
@@ -438,7 +438,7 @@ RunOutcome run_direct(const ScheduleProfile& p, sim::QueueMode mode,
 
 /// Alg. 1 scenario: APSP on the paper's 5-chain, run to convergence over
 /// the profile's cluster shape and fault schedule.
-RunOutcome run_alg1_scenario(const ScheduleProfile& p, sim::QueueMode mode,
+RunOutcome run_alg1_scenario(const ScheduleProfile& p,
                              obs::FlightRecorder* recorder) {
   RunOutcome out;
   const apps::Graph g = apps::make_chain(5);
@@ -473,7 +473,6 @@ RunOutcome run_alg1_scenario(const ScheduleProfile& p, sim::QueueMode mode,
   o.retry = explore_retry();
   o.max_sim_time = p.horizon + 20000.0;
   o.flight_recorder = recorder;
-  o.queue_mode = mode;
 
   const iter::Alg1Result result = iter::run_alg1(op, o);
   out.fingerprint = result.fingerprint;
@@ -544,13 +543,8 @@ RunOutcome run_alg1_scenario(const ScheduleProfile& p, sim::QueueMode mode,
 
 RunOutcome run_profile(const ScheduleProfile& profile,
                        obs::FlightRecorder* recorder) {
-  return run_profile(profile, sim::queue_mode_from_env(), recorder);
-}
-
-RunOutcome run_profile(const ScheduleProfile& profile, sim::QueueMode mode,
-                       obs::FlightRecorder* recorder) {
-  return profile.alg1 ? run_alg1_scenario(profile, mode, recorder)
-                      : run_direct(profile, mode, recorder);
+  return profile.alg1 ? run_alg1_scenario(profile, recorder)
+                      : run_direct(profile, recorder);
 }
 
 }  // namespace pqra::explore

@@ -26,7 +26,7 @@
 
 #include "explore/profile.hpp"
 #include "obs/flight_recorder.hpp"
-#include "sim/calendar_queue.hpp"
+#include "sim/delay_model.hpp"
 
 namespace pqra::explore {
 
@@ -52,13 +52,6 @@ struct RunOutcome {
 /// the message-level tail of its failing execution (`--flightrec`).  The
 /// recorder only observes — outcomes and fingerprints are unchanged.
 RunOutcome run_profile(const ScheduleProfile& profile,
-                       obs::FlightRecorder* recorder = nullptr);
-
-/// Same, but pins the event-queue implementation instead of reading
-/// PQRA_QUEUE: `--queue-diff` runs every profile once per QueueMode and
-/// asserts the fingerprints agree (the calendar queue's equivalence bar,
-/// docs/PERFORMANCE.md).
-RunOutcome run_profile(const ScheduleProfile& profile, sim::QueueMode mode,
                        obs::FlightRecorder* recorder = nullptr);
 
 }  // namespace pqra::explore
