@@ -112,15 +112,16 @@ WALL[theorem4_q_fast]=$thm4_wall
 RATE[theorem4_q_fast]=$(events_rate "$thm4_err")
 
 # 6. Sharded multi-key store at scale: 100k keys, 64 clients — the
-#    batched-fan-out + calendar-queue stress case (one quorum fan-out per
-#    client op, huge pending set from the retry timers).
+#    batched-fan-out stress case (one quorum fan-out per client op).  The
+#    pending set stays small: each closed-loop client has one operation
+#    outstanding, so the event queue peaks at a few hundred entries.
 time_best store "$CLI" app=store keys=100000 clients=64 ops=400 servers=32 \
   replicas=3 k=2 runs=3 seed=1 jobs=1
 WALL[cli_store_100k]=$store_wall
 RATE[cli_store_100k]=$(events_rate "$store_err")
 
 # 7. Event-queue microbenchmark (fast preset): hold-model throughput of the
-#    calendar queue in isolation.
+#    event queue (sim/event_queue.hpp) in isolation.
 time_best qmicro env PQRA_FAST=1 "$BENCH/queue_micro"
 WALL[queue_micro_fast]=$qmicro_wall
 RATE[queue_micro_fast]=$(events_rate "$qmicro_err")

@@ -309,7 +309,7 @@ Alg1Result run_alg1(const AcoOperator& op, const Alg1Options& options) {
               obs::GaugeMerge::kMax)
         .record_max(static_cast<double>(simulator.queue_high_water()));
     reg.counter(n::kSimQueueBucketResizes,
-                "Calendar-queue reorganizations")
+                "Event-queue reorganizations (always 0; deprecated)")
         .inc(simulator.queue_bucket_resizes());
     reg.counter(n::kSimEventHeapAllocs,
                 "Heap allocations by the event-closure path (arena chunk "

@@ -25,7 +25,6 @@
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
 #include "quorum/quorum_system.hpp"
-#include "sim/calendar_queue.hpp"
 #include "util/stats.hpp"
 
 namespace pqra::iter {

@@ -35,8 +35,47 @@ struct SimTransport::FanoutBlock {
   static_assert(sim::EventArena::kBlockBytes >=
                     kHeaderBytes + 4 * sizeof(Entry),
                 "a block should hold a typical quorum fan-out (k <= 4)");
+
+  /// Destroys \p block and returns its storage to \p arena.
+  static void retire(FanoutBlock* block, sim::EventArena& arena) {
+    block->~FanoutBlock();
+    arena.deallocate(block, sizeof(FanoutBlock));
+  }
 };
 
+/// The queued event of a fan-out block, and the block's owner while it
+/// waits: firing hands the block to fire_fanout(), and a carrier destroyed
+/// unfired (a run that stopped with deliveries still queued) retires it.
+/// That discard path touches only the block and the arena, because the
+/// transport may be gone by then: run_alg1 and the benchmark's store system
+/// destroy the SimTransport before the Simulator, whose arena outlives its
+/// queue.
+class SimTransport::FanoutCarrier {
+ public:
+  FanoutCarrier(SimTransport* transport, FanoutBlock* block)
+      : transport_(transport),
+        block_(block),
+        arena_(&transport->simulator_.arena()) {}
+
+  FanoutCarrier(FanoutCarrier&& other) noexcept
+      : transport_(other.transport_),
+        block_(std::exchange(other.block_, nullptr)),
+        arena_(other.arena_) {}
+  FanoutCarrier(const FanoutCarrier&) = delete;
+  FanoutCarrier& operator=(const FanoutCarrier&) = delete;
+  FanoutCarrier& operator=(FanoutCarrier&&) = delete;
+
+  ~FanoutCarrier() {
+    if (block_ != nullptr) FanoutBlock::retire(block_, *arena_);
+  }
+
+  void operator()() { transport_->fire_fanout(std::exchange(block_, nullptr)); }
+
+ private:
+  SimTransport* transport_;
+  FanoutBlock* block_;
+  sim::EventArena* arena_;
+};
 
 SimTransport::SimTransport(sim::Simulator& simulator,
                            sim::DelayModel& delay_model, const util::Rng& rng,
@@ -203,7 +242,7 @@ void SimTransport::send_fanout(NodeId from, const FanoutEntry* targets,
     }
     simulator_.schedule_batch(block->entries[0].at, block->entries[0].seq,
                               sim::EventTag::kMsgDeliver,
-                              [this, block] { fire_fanout(block); });
+                              FanoutCarrier(this, block));
     idx += n;
   }
 }
@@ -237,16 +276,14 @@ void SimTransport::fire_fanout(FanoutBlock* block) {
         // The receiver may send again and recycle this arena block, so the
         // block is retired before on_message runs.
         Message msg = std::move(block->proto);
-        block->~FanoutBlock();
-        simulator_.arena().deallocate(block, sizeof(FanoutBlock));
+        FanoutBlock::retire(block, simulator_.arena());
         receiver->on_message(from, std::move(msg));
         return;
       }
       receiver->on_message(from, block->proto);
     }
     if (last) {
-      block->~FanoutBlock();
-      simulator_.arena().deallocate(block, sizeof(FanoutBlock));
+      FanoutBlock::retire(block, simulator_.arena());
       return;
     }
     const FanoutDelivery& nx = block->entries[block->next];
@@ -258,7 +295,7 @@ void SimTransport::fire_fanout(FanoutBlock* block) {
       continue;
     }
     simulator_.schedule_batch(nx.at, nx.seq, sim::EventTag::kMsgDeliver,
-                              [this, block] { fire_fanout(block); });
+                              FanoutCarrier(this, block));
     return;
   }
 }

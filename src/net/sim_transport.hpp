@@ -70,7 +70,8 @@ class SimTransport final : public Transport {
   }
 
  private:
-  struct FanoutBlock;  // arena-resident batch (sim_transport.cpp)
+  struct FanoutBlock;   // arena-resident batch (sim_transport.cpp)
+  class FanoutCarrier;  // queued event owning one block (sim_transport.cpp)
 
   /// One scheduled delivery of a fan-out before it is packed into blocks.
   struct FanoutDelivery {

@@ -87,7 +87,9 @@ inline constexpr const char* kTransportMessagesByType[] = {
 // instrumented directly).
 inline constexpr const char* kSimEvents = "pqra_sim_events_total";
 inline constexpr const char* kSimHeapHighWater = "pqra_sim_heap_high_water";
-// Calendar-queue reorganizations (bucket-array grow/shrink + width retune).
+// Event-queue reorganizations.  Always 0 since the queue became a heap,
+// which never reorganizes; kept because the benchmark suite
+// (bench/suite/pqra_bench.cpp) reads it, until the benchmark drops it.
 inline constexpr const char* kSimQueueBucketResizes =
     "pqra_sim_queue_bucket_resizes_total";
 inline constexpr const char* kSimTime = "pqra_sim_time";

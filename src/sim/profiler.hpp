@@ -12,10 +12,10 @@
 /// profiling costs nothing when off (the ≤5%-regression budget in
 /// BENCH_PR6.json is measured with it off).
 ///
-/// Attribution is the baseline data the ROADMAP's calendar-queue work will
-/// be judged against: which event types dominate wall time, and how far
-/// each fire advances virtual time (the event-horizon distribution a
-/// calendar queue must bucket well).
+/// Attribution answers which event types dominate wall time, and how far
+/// each fire advances virtual time (the event-horizon distribution).  Queue
+/// maintenance (sim/event_queue.hpp) happens outside the timed callback, so
+/// tag costs stay comparable across queue implementations.
 ///
 /// Layering: sim links only util, so this file reimplements the 64-bucket
 /// base-2 histogram layout of obs::Histogram (same kNumBuckets/kBias;

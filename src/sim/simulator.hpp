@@ -8,8 +8,8 @@
 /// the seed — this is what makes every experiment in the repository
 /// reproducible and every test deterministic.
 ///
-/// The pending-event set is an EventQueue (sim/calendar_queue.hpp), a
-/// calendar queue that pops strictly by (time, seq), so the executed
+/// The pending-event set is an EventQueue (sim/event_queue.hpp), a 4-ary
+/// heap of compact keys that pops strictly by (time, seq), so the executed
 /// schedule — and therefore the fingerprint and every byte of output — is a
 /// function of the schedule calls alone.  Callbacks are EventFn
 /// (sim/event_fn.hpp), not std::function: small captures live inside the
@@ -28,9 +28,9 @@
 #include <utility>
 #include <vector>
 
-#include "sim/calendar_queue.hpp"
 #include "sim/delay_model.hpp"
 #include "sim/event_fn.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/profiler.hpp"
 #include "util/check.hpp"
 
@@ -133,9 +133,10 @@ class Simulator {
   std::size_t pending_events() const { return queue_.size(); }
   std::uint64_t events_processed() const { return processed_; }
 
-  /// Calendar reorganizations so far; exported as
-  /// pqra_sim_queue_bucket_resizes_total.
-  std::uint64_t queue_bucket_resizes() const { return queue_.bucket_resizes(); }
+  /// \deprecated Always 0: the event queue is a heap and never reorganizes.
+  /// Still exported as pqra_sim_queue_bucket_resizes_total because the
+  /// benchmark suite reads it; goes when the benchmark drops the count.
+  std::uint64_t queue_bucket_resizes() const { return 0; }
 
   /// Execution fingerprint: an FNV-1a fold of every fired event's (time,
   /// sequence number) pair, updated as the schedule→fire loop runs.  Two
@@ -163,6 +164,8 @@ class Simulator {
  private:
   void push_event(Time t, std::uint64_t seq, EventTag tag, EventFn fn);
 
+  // arena_ outlives queue_: callbacks still queued at destruction (and the
+  // fan-out blocks they own) return their storage to the arena.
   EventArena arena_;
   EventQueue queue_;
   std::size_t queue_high_water_ = 0;

@@ -3,8 +3,8 @@
 /// loop: with identical seeds the two must execute byte-identical event
 /// schedules — same simulator fingerprint, same delivery order, same stats,
 /// same flight records — under clean networks, drops, duplicates and
-/// crash-in-flight.  This is the transport half of the calendar-queue PR's
-/// "batching is invisible" acceptance bar.
+/// crash-in-flight.  This is the transport half of the "batching is
+/// invisible" acceptance bar.
 
 #include <gtest/gtest.h>
 
@@ -221,6 +221,22 @@ TEST(FanoutBatching, KeepsArenaZeroHeapOnSteadyState) {
     w.sim.run();
   }
   EXPECT_EQ(w.sim.alloc_stats().heap_allocations(), warm);
+}
+
+TEST(FanoutBatching, TeardownReleasesQueuedBlocks) {
+  // A world torn down with fan-out deliveries still queued must release
+  // their blocks: the queued carrier owns its block, so the prototype's
+  // payload loses its last extra owner with it.  The transport is destroyed
+  // before the simulator, as in run_alg1.
+  const Value payload(util::Bytes(16, std::byte{7}));
+  {
+    World w(13);
+    auto to = entries({1, 2, 3});
+    w.transport.send_fanout(0, to.data(), to.size(),
+                            Message::write_req(1, 1, 1, payload));
+    EXPECT_GT(payload.use_count(), 1);
+  }
+  EXPECT_EQ(payload.use_count(), 1);
 }
 
 }  // namespace
