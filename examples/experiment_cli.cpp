@@ -72,10 +72,15 @@
 /// spellings also accepted, so these read naturally as flags):
 ///   --metrics-out FILE   JSON snapshot of the metrics registry
 ///   --prom-out FILE      Prometheus text exposition of the same registry
-///   --trace-out FILE     JSONL op trace of run 0 (spec-checkable)
-///   --chrome-out FILE    run 0's trace as Chrome trace-event JSON
+///   --trace-out FILE     run 0's operation history as JSONL
+///                        (core::spec::write_history_jsonl): initial values
+///                        and still-pending operations included, checked
+///                        before it is written by the same rules the CLI
+///                        prints
 ///   --spans-out FILE     JSONL causal spans of run 0 (obs/span.hpp)
-///   --spans-chrome-out FILE  run 0's spans as Chrome trace-event JSON
+///   --spans-chrome-out FILE  run 0's spans as Chrome trace-event JSON (one
+///                        "read rN"/"write rN" slice per operation, one lane
+///                        per client)
 ///   --span-sample N      trace every Nth (hashed) operation (default 1 =
 ///                        all; 0 = none); deterministic in (seed, proc, op)
 ///   --profile-out FILE   DES self-profiler JSON for run 0 (per-event-tag
@@ -83,15 +88,23 @@
 ///                        Wall times are nondeterministic by nature and go
 ///                        ONLY to this file; stdout and all other exports
 ///                        stay byte-identical with or without it.
+///
+/// Input the selected app does not understand is rejected with exit status
+/// 2 before anything runs: an unknown key (`unknown option '<key>'`), a
+/// malformed argument, or a value that is not a whole number / number where
+/// one is expected.
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -105,8 +118,7 @@
 #include "core/quorum_register_client.hpp"
 #include "core/server_process.hpp"
 #include "core/spec/batch.hpp"
-#include "core/spec/checker.hpp"
-#include "core/spec/trace_bridge.hpp"
+#include "core/spec/history.hpp"
 #include "iter/alg1_des.hpp"
 #include "net/fault_plan.hpp"
 #include "net/sim_transport.hpp"
@@ -114,7 +126,6 @@
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "quorum/fpp.hpp"
 #include "quorum/grid.hpp"
 #include "quorum/hierarchical.hpp"
@@ -134,6 +145,26 @@ using namespace pqra;
 
 namespace {
 
+/// Prints \p message and exits with the usage-error status 2.
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  std::exit(2);
+}
+
+/// Parses the whole of \p text as a T, or exits 2 naming \p key.
+template <typename T>
+T parse_value(const std::string& key, const std::string& text,
+              const char* expected) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    usage_error("bad value '" + text + "' for " + key + ": expected " +
+                expected);
+  }
+  return value;
+}
+
 class Args {
  public:
   /// Accepts `key=value`, `--key=value` and `--key value` interchangeably.
@@ -144,33 +175,50 @@ class Args {
       auto eq = arg.find('=');
       if (eq != std::string::npos) {
         values_[arg.substr(0, eq)] = arg.substr(eq + 1);
-        continue;
-      }
-      if (i + 1 < argc) {
+      } else if (i + 1 < argc) {
         values_[arg] = argv[++i];
-        continue;
+      } else {
+        usage_error("malformed argument '" + arg + "'");
       }
-      std::fprintf(stderr, "ignoring malformed argument '%s'\n", arg.c_str());
     }
   }
 
-  std::string get(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+  std::string get(const std::string& key, const std::string& fallback) {
+    const std::string* value = find(key);
+    return value == nullptr ? fallback : *value;
   }
 
-  std::size_t get_n(const std::string& key, std::size_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoul(it->second);
+  std::size_t get_n(const std::string& key, std::size_t fallback) {
+    const std::string* value = find(key);
+    return value == nullptr
+               ? fallback
+               : parse_value<std::size_t>(key, *value, "a whole number");
   }
 
-  double get_f(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+  double get_f(const std::string& key, double fallback) {
+    const std::string* value = find(key);
+    return value == nullptr ? fallback
+                            : parse_value<double>(key, *value, "a number");
+  }
+
+  /// Exits 2 naming the first key the selected app never read; call once
+  /// the app has read all of its keys, before it runs.
+  void reject_unread() const {
+    for (const auto& [key, value] : values_) {
+      if (!read_.contains(key)) usage_error("unknown option '" + key + "'");
+    }
   }
 
  private:
+  /// Marks \p key as one the app understands; nullptr when it is not set.
+  const std::string* find(const std::string& key) {
+    read_.insert(key);
+    auto it = values_.find(key);
+    return it == values_.end() ? nullptr : &it->second;
+  }
+
   std::map<std::string, std::string> values_;
+  std::set<std::string> read_;
 };
 
 apps::Graph make_graph(const std::string& kind, std::size_t size,
@@ -517,7 +565,7 @@ AvailTally run_availability_once(const quorum::QuorumSystem& quorums,
 /// app=avail: the selected system and a strict-majority baseline face the
 /// same churn process; reports both success rates and exits 0 iff the
 /// paper's availability claim held.
-int run_availability(const Args& args) {
+int run_availability(Args& args) {
   const std::size_t servers = args.get_n("servers", 25);
   const std::size_t k = args.get_n("k", 4);
   const std::string quorum_kind = args.get("quorum", "prob");
@@ -547,6 +595,8 @@ int run_availability(const Args& args) {
   const std::size_t snapshot_every = args.get_n("snapshot-every", 64);
   const std::string metrics_out = args.get("metrics-out", "");
   const std::string prom_out = args.get("prom-out", "");
+  const std::size_t jobs = args.get_n("jobs", 0);
+  args.reject_unread();
 
   std::unique_ptr<quorum::QuorumSystem> selected =
       make_quorums(quorum_kind, servers, k);
@@ -570,7 +620,7 @@ int run_availability(const Args& args) {
     AvailTally maj;
     std::unique_ptr<obs::Registry> shard;
   };
-  sim::ParallelRunner pool(args.get_n("jobs", 0));
+  sim::ParallelRunner pool(jobs);
   const auto wall_start = std::chrono::steady_clock::now();
   std::vector<AvailRunOutput> outputs = pool.map<AvailRunOutput>(
       runs, [&](std::size_t run) {
@@ -743,8 +793,10 @@ struct StoreRunOutput {
   std::unique_ptr<obs::Registry> shard;
 };
 
+/// \p history, when set, receives the run's history (for --trace-out).
 StoreRunOutput run_store_once(const StoreConfig& cfg, std::uint64_t run_seed,
-                              obs::OpTraceSink* trace, obs::SpanSink* spans) {
+                              core::spec::HistoryRecorder* history,
+                              obs::SpanSink* spans) {
   StoreRunOutput out;
   out.shard = std::make_unique<obs::Registry>(obs::Concurrency::kSingleThread);
   util::Rng master(run_seed);
@@ -779,8 +831,9 @@ StoreRunOutput run_store_once(const StoreConfig& cfg, std::uint64_t run_seed,
   // default initial value — observably identical to preloading the whole
   // keyspace, without materializing total_keys × replicas store entries
   // (which at 10⁵ keys cost more than the simulation they set up).
-  core::spec::HistoryRecorder history;
-  history.reserve(total_keys + 4 * cfg.clients * cfg.ops);
+  core::spec::HistoryRecorder local_history;
+  if (history == nullptr) history = &local_history;
+  history->reserve(total_keys + 4 * cfg.clients * cfg.ops);
   const core::Value zero = util::encode<std::int64_t>(0);
   // Only written keys materialize store entries now; pre-size each store
   // for its expected share so the run does not pay a per-replica rehash
@@ -796,13 +849,12 @@ StoreRunOutput run_store_once(const StoreConfig& cfg, std::uint64_t run_seed,
     s.replica().reserve(per_server);
   }
   for (std::size_t key = 0; key < total_keys; ++key) {
-    history.record_initial(static_cast<net::KeyId>(key));
+    history->record_initial(static_cast<net::KeyId>(key));
   }
 
   core::keyspace::ShardedStoreOptions sopts;
   sopts.client.monotone = cfg.monotone;
   sopts.client.metrics = out.shard.get();
-  sopts.client.trace = trace;
   sopts.client.spans = spans;
   sopts.client.retry.rpc_timeout = 6.0;
   sopts.client.retry.backoff_factor = 1.5;
@@ -817,7 +869,7 @@ StoreRunOutput run_store_once(const StoreConfig& cfg, std::uint64_t run_seed,
   for (std::size_t i = 0; i < cfg.clients; ++i) {
     clients.emplace_back(simulator, transport,
                          static_cast<net::NodeId>(cfg.servers + i), ring,
-                         quorums, master.fork(500 + i), sopts, &history);
+                         quorums, master.fork(500 + i), sopts, history);
     loops.emplace_back(simulator, clients.back(), master.fork(900 + i),
                        cfg.ops, i, cfg.clients, keys_per_client, cfg.zipf);
   }
@@ -855,7 +907,7 @@ StoreRunOutput run_store_once(const StoreConfig& cfg, std::uint64_t run_seed,
 
   out.fingerprint = simulator.fingerprint();
   out.events = simulator.events_processed();
-  out.ops_checked = history.ops().size();
+  out.ops_checked = history->ops().size();
   for (core::keyspace::ShardedStoreClient& c : clients) {
     out.keys_touched += c.keys_touched();
   }
@@ -863,7 +915,7 @@ StoreRunOutput run_store_once(const StoreConfig& cfg, std::uint64_t run_seed,
   core::spec::BatchOptions bo;
   bo.r4 = cfg.monotone;
   const core::spec::KeyedBatchResult batch =
-      core::spec::check_batch_by_key(history.ops(), bo);
+      core::spec::check_batch_by_key(history->ops(), bo);
   out.keys_checked = batch.keys_checked;
   out.spec_ok = batch.ok();
   out.spec_summary = batch.summary();
@@ -872,7 +924,7 @@ StoreRunOutput run_store_once(const StoreConfig& cfg, std::uint64_t run_seed,
 
 /// app=store: mixed-key Zipfian workload on the sharded store,
 /// key-partitioned spec check per run, byte-identical across --jobs.
-int run_store(const Args& args) {
+int run_store(Args& args) {
   StoreConfig cfg;
   cfg.keys = args.get_n("keys", cfg.keys);
   cfg.theta = args.get_f("theta", cfg.theta);
@@ -893,6 +945,8 @@ int run_store(const Args& args) {
   const std::string trace_out = args.get("trace-out", "");
   const std::string spans_out = args.get("spans-out", "");
   const std::uint64_t span_sample = args.get_n("span-sample", 1);
+  const std::size_t jobs = args.get_n("jobs", 0);
+  args.reject_unread();
 
   if (cfg.keys == 0 || cfg.clients == 0 || cfg.servers == 0 ||
       cfg.vnodes == 0 || cfg.theta < 0.0 || cfg.theta >= 1.0 ||
@@ -920,16 +974,17 @@ int run_store(const Args& args) {
               (cfg.have_fault_plan || cfg.churn > 0.0) ? " | faults" : "",
               runs);
 
-  // Trace and spans record run 0 only; every run reports into a private
-  // metrics shard merged below in run order — the same discipline as the
-  // iterative apps, so all outputs are byte-identical for any --jobs value.
+  // The exported history and spans are run 0's only; every run reports into
+  // a private metrics shard merged below in run order — the same discipline
+  // as the iterative apps, so all outputs are byte-identical for any --jobs
+  // value.
   const bool want_trace = !trace_out.empty();
   const bool want_spans = !spans_out.empty();
   obs::Registry registry(obs::Concurrency::kSingleThread);
-  obs::OpTraceSink trace;
+  core::spec::HistoryRecorder run0_history;
   obs::SpanSink spans(obs::SpanSink::Options{seed, span_sample});
 
-  sim::ParallelRunner pool(args.get_n("jobs", 0));
+  sim::ParallelRunner pool(jobs);
   // One zeta normalization for all runs (and all jobs threads); the rounded
   // keyspace mirrors run_store_once's slot layout.
   const std::size_t keys_rounded =
@@ -941,7 +996,7 @@ int run_store(const Args& args) {
   std::vector<StoreRunOutput> outputs =
       pool.map<StoreRunOutput>(runs, [&](std::size_t run) {
         return run_store_once(cfg, seed + run * 7919,
-                              want_trace && run == 0 ? &trace : nullptr,
+                              want_trace && run == 0 ? &run0_history : nullptr,
                               want_spans && run == 0 ? &spans : nullptr);
       });
   const double wall_s =
@@ -983,7 +1038,7 @@ int run_store(const Args& args) {
   }
   if (!trace_out.empty()) {
     outputs_ok &= write_file(trace_out, "op trace JSONL", [&](auto& out) {
-      obs::write_jsonl(trace.events(), out);
+      core::spec::write_history_jsonl(run0_history.ops(), out);
     });
   }
   if (want_spans) {
@@ -1019,11 +1074,12 @@ int main(int argc, char** argv) {
   const std::string metrics_out = args.get("metrics-out", "");
   const std::string prom_out = args.get("prom-out", "");
   const std::string trace_out = args.get("trace-out", "");
-  const std::string chrome_out = args.get("chrome-out", "");
   const std::string spans_out = args.get("spans-out", "");
   const std::string spans_chrome_out = args.get("spans-chrome-out", "");
   const std::uint64_t span_sample = args.get_n("span-sample", 1);
   const std::string profile_out = args.get("profile-out", "");
+  const std::size_t jobs = args.get_n("jobs", 0);
+  args.reject_unread();
 
   util::Rng rng(seed);
   std::unique_ptr<iter::AcoOperator> op = make_app(app, graph, size, rng);
@@ -1047,13 +1103,13 @@ int main(int argc, char** argv) {
               quorums->name().c_str(), monotone ? "monotone" : "plain",
               sync ? "sync" : "async", faulty ? ", faults" : "", runs);
 
-  // The op trace records run 0 only (a trace of one execution is what the
-  // spec checkers and the Chrome viewer want — concatenating runs would
-  // interleave unrelated histories).  Each run is an independent seeded
-  // replication: it gets its own simulator, fault plan and metrics shard,
-  // and the shards are merged into one registry IN RUN ORDER below, so
-  // stdout and every exported file are byte-identical for any --jobs value.
-  const bool want_trace = !trace_out.empty() || !chrome_out.empty();
+  // The exported history is run 0's only (the spec checkers want one
+  // execution — concatenating runs would interleave unrelated histories).
+  // Each run is an independent seeded replication: it gets its own
+  // simulator, fault plan and metrics shard, and the shards are merged into
+  // one registry IN RUN ORDER below, so stdout and every exported file are
+  // byte-identical for any --jobs value.
+  const bool want_trace = !trace_out.empty();
   // Spans and the profiler follow the same run-0-only discipline: one
   // execution's causal tree (or cost profile) is the useful artifact, and
   // keeping the shared sinks off every other run makes them race-free and
@@ -1061,7 +1117,6 @@ int main(int argc, char** argv) {
   const bool want_spans = !spans_out.empty() || !spans_chrome_out.empty();
   const bool want_profile = !profile_out.empty();
   obs::Registry registry(obs::Concurrency::kSingleThread);
-  obs::OpTraceSink trace;
   obs::SpanSink spans(obs::SpanSink::Options{seed, span_sample});
   sim::Profiler profiler;
 
@@ -1069,7 +1124,7 @@ int main(int argc, char** argv) {
     iter::Alg1Result r;
     std::unique_ptr<obs::Registry> shard;
   };
-  sim::ParallelRunner pool(args.get_n("jobs", 0));
+  sim::ParallelRunner pool(jobs);
   const auto wall_start = std::chrono::steady_clock::now();
   std::vector<RunOutput> outputs = pool.map<RunOutput>(
       runs, [&](std::size_t run) {
@@ -1083,15 +1138,7 @@ int main(int argc, char** argv) {
         options.seed = seed + run * 7919;
         options.round_cap = cap;
         options.metrics = out.shard.get();
-        if (want_trace && run == 0) {
-          // Only run 0 touches the shared sink, so this stays race-free
-          // under jobs > 1.
-          options.trace = &trace;
-          // A faulted run can end with ops still in flight, which the
-          // completion-only trace cannot represent; record the full history
-          // so the self-check below stays sound (see docs/FAULTS.md).
-          options.record_history = faulty;
-        }
+        options.record_history = want_trace && run == 0;
         if (want_spans && run == 0) options.spans = &spans;
         if (want_profile && run == 0) options.profiler = &profiler;
         util::Rng churn_rng(seed + run);
@@ -1171,45 +1218,22 @@ int main(int argc, char** argv) {
     });
   }
   if (want_trace) {
-    // The trace claims to be a valid single-writer register history; hold it
-    // to that before handing it to anyone (replays run 0 through the same
-    // [R1]/[R2]/[R4] checkers the tests use).  A faulted execution is
-    // truncated at convergence, so [R1] does not apply and the safety
-    // conditions are checked on the recorded history, whose unresponded
-    // write records cover reads that observed a still-in-flight write.
-    core::spec::CheckResult check;
-    if (faulty && run0_history != nullptr) {
-      const auto& ops = run0_history->ops();
-      check = core::spec::check_r2(ops);
-      for (core::spec::CheckResult part :
-           {core::spec::check_single_writer(ops),
-            monotone ? core::spec::check_r4(ops) : core::spec::CheckResult{}}) {
-        if (!part.ok) {
-          check.ok = false;
-          check.violations.insert(check.violations.end(),
-                                  part.violations.begin(),
-                                  part.violations.end());
-        }
-      }
-    } else {
-      check = core::spec::check_random_register(
-          core::spec::to_op_records(trace.events()), monotone);
-    }
-    std::printf("op trace: %zu events, spec check %s\n", trace.size(),
-                check.ok ? "ok" : "FAILED");
-    for (const std::string& v : check.violations) {
-      std::fprintf(stderr, "  %s\n", v.c_str());
-    }
-    if (!check.ok) outputs_ok = false;
-  }
-  if (!trace_out.empty()) {
+    // The history claims to be a valid single-writer register history; hold
+    // it to that before handing it to anyone.  Runs stop at convergence with
+    // operations still pending, so [R1] does not apply; the pending write
+    // records cover reads that observed a still-in-flight write.
+    const core::spec::HistoryRecorder none;  // runs=0
+    const std::vector<core::spec::OpRecord>& ops =
+        (run0_history != nullptr ? *run0_history : none).ops();
+    core::spec::BatchOptions rules;
+    rules.r1 = false;
+    rules.r4 = monotone;
+    const core::spec::BatchResult check = core::spec::check_batch(ops, rules);
+    std::printf("op trace: %zu records, spec check %s%s\n", ops.size(),
+                check.ok() ? "" : "FAILED: ", check.summary().c_str());
+    if (!check.ok()) outputs_ok = false;
     outputs_ok &= write_file(trace_out, "op trace JSONL", [&](auto& out) {
-      obs::write_jsonl(trace.events(), out);
-    });
-  }
-  if (!chrome_out.empty()) {
-    outputs_ok &= write_file(chrome_out, "Chrome trace", [&](auto& out) {
-      obs::write_chrome_trace(trace.events(), out);
+      core::spec::write_history_jsonl(ops, out);
     });
   }
   if (want_spans) {

@@ -78,25 +78,6 @@ QuorumRegisterClient::QuorumRegisterClient(
   }
 }
 
-void QuorumRegisterClient::record_trace(obs::TraceOpKind kind,
-                                        const PendingOp& pending,
-                                        RegisterId reg, Timestamp ts,
-                                        bool from_cache) {
-  obs::OpTraceEvent ev;
-  ev.kind = kind;
-  ev.proc = self_;
-  ev.reg = reg;
-  ev.invoke = pending.started;
-  ev.response = simulator_.now();
-  ev.ts = ts;
-  ev.from_cache = from_cache;
-  ev.attempts = pending.attempt + 1;
-  ev.stale_depth = kind == obs::TraceOpKind::kRead ? pending.stale_depth : 0;
-  ev.quorum.assign(pending.access.responders.begin(),
-                   pending.access.responders.end());
-  options_.trace->record(std::move(ev));
-}
-
 void QuorumRegisterClient::begin_op_span(OpId op, PendingOp& pending,
                                          bool is_write, RegisterId reg) {
   if (options_.spans == nullptr || !options_.spans->sampled(self_, op)) return;
@@ -432,10 +413,10 @@ void QuorumRegisterClient::finish_deadline(OpId op, PendingOp& pending) {
 }
 
 void QuorumRegisterClient::fail_op(OpId op, PendingOp& pending) {
-  // The history record stays unresponded (the spec checkers skip open ops)
-  // and no trace event is emitted: a failed operation never took effect at
-  // the register interface.  The span *is* closed (kTimedOut): causal
-  // tracing exists precisely to show where the deadline budget went.
+  // The history record stays unresponded (the spec checkers skip open ops):
+  // a failed operation never took effect at the register interface.  The
+  // span *is* closed (kTimedOut): causal tracing exists precisely to show
+  // where the deadline budget went.
   close_op_span(pending, obs::SpanStatus::kTimedOut, /*ts=*/0,
                 /*from_cache=*/false);
   ++counters_.op_failures;
@@ -557,10 +538,6 @@ void QuorumRegisterClient::complete_snapshot(OpId op, PendingOp& pending) {
     }
     if (pending.has_hist) {
       history_->end_read(pending.snap_hists[i], simulator_.now(), result.ts);
-    }
-    if (options_.trace != nullptr) {
-      record_trace(obs::TraceOpKind::kRead, pending, reg, result.ts,
-                   result.from_monotone_cache);
     }
     results.push_back(std::move(result));
   }
@@ -695,10 +672,6 @@ void QuorumRegisterClient::deliver_read(OpId op, PendingOp& pending) {
   }
   if (instruments_.reads != nullptr) instruments_.reads->inc();
   ++counters_.reads_completed;
-  if (options_.trace != nullptr) {
-    record_trace(obs::TraceOpKind::kRead, pending, pending.reg, result.ts,
-                 result.from_monotone_cache);
-  }
   close_op_span(pending, span_status_of(pending.status), result.ts,
                 result.from_monotone_cache);
   ReadCallback cb = std::move(pending.read_cb);
@@ -726,9 +699,6 @@ void QuorumRegisterClient::complete_write(OpId op, PendingOp& pending) {
   {
     Timestamp& seen = max_seen_ts_.entry(pending.reg);
     if (seen < ts) seen = ts;
-  }
-  if (options_.trace != nullptr) {
-    record_trace(obs::TraceOpKind::kWrite, pending, pending.reg, ts, false);
   }
   close_op_span(pending, span_status_of(pending.status), ts, false);
   WriteResult result;

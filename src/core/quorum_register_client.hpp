@@ -58,7 +58,6 @@
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "quorum/quorum_system.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
@@ -133,9 +132,6 @@ struct ClientOptions {
   /// histogram are reported under the obs/names.hpp client names,
   /// aggregated over every client sharing the registry.
   obs::Registry* metrics = nullptr;
-  /// Structured op-trace sink (non-owning, may be nullptr): every completed
-  /// read/write is recorded with its quorum membership; see obs/trace.hpp.
-  obs::OpTraceSink* trace = nullptr;
   /// Causal span sink (non-owning, may be nullptr): sampled operations emit
   /// a span tree — client op → per-replica RPC attempt → retry wait — with
   /// the quorum membership and ε-intersection outcome annotated on the
@@ -344,9 +340,6 @@ class QuorumRegisterClient final : public net::Receiver {
     obs::Histogram* write_latency = nullptr;
     obs::Histogram* stale_depth = nullptr;
   };
-
-  void record_trace(obs::TraceOpKind kind, const PendingOp& pending,
-                    RegisterId reg, Timestamp ts, bool from_cache);
 
   /// Opens the root kClientOp span when a sink is bound and (self, op) is
   /// sampled; no-op otherwise.

@@ -1,5 +1,10 @@
 #include "core/spec/history.hpp"
 
+#include <ostream>
+#include <string>
+
+#include "obs/export.hpp"
+#include "obs/jsonl.hpp"
 #include "util/check.hpp"
 
 namespace pqra::core::spec {
@@ -60,6 +65,49 @@ void HistoryRecorder::end_write(OpHandle h, sim::Time now) {
                "end_write on a non-pending write");
   rec.response = now;
   rec.responded = true;
+}
+
+void write_history_jsonl(const std::vector<OpRecord>& ops, std::ostream& out) {
+  for (const OpRecord& rec : ops) {
+    out << "{\"op\":\"" << (rec.kind == OpKind::kRead ? "read" : "write")
+        << "\",\"proc\":" << rec.proc << ",\"reg\":" << rec.reg
+        << ",\"invoke\":" << obs::format_double(rec.invoke)
+        << ",\"response\":" << obs::format_double(rec.response)
+        << ",\"responded\":" << (rec.responded ? "true" : "false")
+        << ",\"ts\":" << rec.ts << "}\n";
+  }
+}
+
+std::vector<OpRecord> parse_history_jsonl(std::istream& in) {
+  std::vector<OpRecord> ops;
+  obs::JsonlReader r(in, "parse_history_jsonl");
+  std::string key;
+  while (r.next_line()) {
+    OpRecord rec;
+    while (r.next_key(key)) {
+      if (key == "op") {
+        const std::string v = r.read_string();
+        if (v != "read" && v != "write") r.fail("unknown op kind '" + v + "'");
+        rec.kind = v == "read" ? OpKind::kRead : OpKind::kWrite;
+      } else if (key == "proc") {
+        rec.proc = r.read_uint<NodeId>();
+      } else if (key == "reg") {
+        rec.reg = r.read_uint<RegisterId>();
+      } else if (key == "invoke") {
+        rec.invoke = r.read_double();
+      } else if (key == "response") {
+        rec.response = r.read_double();
+      } else if (key == "responded") {
+        rec.responded = r.read_bool();
+      } else if (key == "ts") {
+        rec.ts = r.read_uint<Timestamp>();
+      } else {
+        r.fail("unknown key '" + key + "'");
+      }
+    }
+    ops.push_back(rec);
+  }
+  return ops;
 }
 
 }  // namespace pqra::core::spec

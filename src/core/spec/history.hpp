@@ -10,8 +10,14 @@
 /// increasing timestamps, "read R reads from write W" reduces to "R returned
 /// W's timestamp", which sidesteps the value-ambiguity the paper's footnote 1
 /// discusses.
+///
+/// The recorder is the one per-operation record of a run: the checkers read
+/// it, and experiment_cli --trace-out writes it as JSONL
+/// (write_history_jsonl), initial values and still-pending operations
+/// included, so a re-read file checks exactly as the run did.
 
 #include <cstdint>
+#include <iosfwd>
 #include <vector>
 
 #include "core/register_types.hpp"
@@ -31,6 +37,8 @@ struct OpRecord {
   /// For writes: the timestamp written (fixed at invocation).
   /// For reads: the timestamp returned (fixed at response).
   Timestamp ts = 0;
+
+  bool operator==(const OpRecord&) const = default;
 };
 
 /// Collects OpRecords.  Not thread-safe; the threaded runtime records through
@@ -60,5 +68,16 @@ class HistoryRecorder {
  private:
   std::vector<OpRecord> ops_;
 };
+
+/// One JSON object per record, in recorder order, e.g.
+///   {"op":"read","proc":35,"reg":2,"invoke":4,"response":6.5,
+///    "responded":true,"ts":3}
+/// In multi-key runs `reg` is the key (docs/SHARDING.md).
+void write_history_jsonl(const std::vector<OpRecord>& ops, std::ostream& out);
+
+/// Parses write_history_jsonl output (field order-insensitive, missing
+/// fields default, unknown keys rejected).  Throws std::logic_error naming
+/// the 1-based line on malformed input (obs/jsonl.hpp).
+std::vector<OpRecord> parse_history_jsonl(std::istream& in);
 
 }  // namespace pqra::core::spec

@@ -206,11 +206,6 @@ Alg1Result run_alg1(const AcoOperator& op, const Alg1Options& options) {
       history->record_initial(static_cast<net::RegisterId>(j));
     }
   }
-  if (options.trace != nullptr) {
-    for (std::size_t j = 0; j < m; ++j) {
-      options.trace->record_initial(static_cast<net::RegisterId>(j));
-    }
-  }
 
   core::ClientOptions client_options;
   client_options.monotone = options.monotone;
@@ -222,7 +217,6 @@ Alg1Result run_alg1(const AcoOperator& op, const Alg1Options& options) {
   client_options.read_repair = options.read_repair;
   client_options.write_back = options.write_back;
   client_options.metrics = options.metrics;
-  client_options.trace = options.trace;
   client_options.spans = options.spans;
 
   RoundTracker rounds(p);

@@ -23,7 +23,6 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
-#include "obs/trace.hpp"
 #include "quorum/quorum_system.hpp"
 #include "util/stats.hpp"
 
@@ -65,8 +64,9 @@ struct Alg1Options {
   /// Stop after this many completed rounds and report converged = false.
   std::size_t round_cap = 100000;
 
-  /// Record the full operation history for spec checking (costs memory; off
-  /// for the big Figure 2 sweeps).
+  /// Record the full operation history (Alg1Result::history) for spec
+  /// checking and export via core::spec::write_history_jsonl; costs memory,
+  /// so it is off for the big Figure 2 sweeps.
   bool record_history = false;
 
   /// Crash these servers before the run starts (availability experiments).
@@ -94,11 +94,6 @@ struct Alg1Options {
   /// transport, simulator — report into it; instruments only count, they
   /// never schedule events, so the simulated execution is unchanged.
   obs::Registry* metrics = nullptr;
-
-  /// Optional structured op-trace sink (non-owning).  Records one event per
-  /// completed read/write in spec/history vocabulary, replayable through the
-  /// [R1]/[R2]/[R4] checkers via core::spec::to_op_records.
-  obs::OpTraceSink* trace = nullptr;
 
   /// Optional causal span sink (non-owning): clients emit op/RPC/retry
   /// spans, servers parent their handling spans through the message

@@ -1,12 +1,11 @@
 #include "obs/span.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <istream>
 #include <ostream>
 #include <string>
 
 #include "obs/export.hpp"
+#include "obs/jsonl.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "util/check.hpp"
@@ -187,221 +186,69 @@ void write_spans_jsonl(const std::vector<SpanRecord>& spans,
   }
 }
 
-namespace {
-
-/// Recursive-descent parser for the flat objects write_spans_jsonl emits —
-/// same dialect as trace.cpp's, with the error text owned by the caller
-/// (parse_spans_jsonl prefixes the line number).
-class SpanLineParser {
- public:
-  explicit SpanLineParser(const std::string& line) : s_(line) {}
-
-  SpanRecord parse() {
-    SpanRecord rec;
-    expect('{');
-    bool first = true;
-    while (true) {
-      skip_ws();
-      if (peek() == '}') {
-        ++pos_;
-        break;
-      }
-      if (!first) expect(',');
-      first = false;
-      std::string key = parse_string();
-      expect(':');
-      apply(key, rec);
-    }
-    skip_ws();
-    PQRA_CHECK(pos_ == s_.size(), "span trace: trailing garbage");
-    return rec;
-  }
-
- private:
-  void apply(const std::string& key, SpanRecord& rec) {
-    if (key == "id") {
-      rec.id = static_cast<SpanId>(parse_number());
-    } else if (key == "parent") {
-      rec.parent = static_cast<SpanId>(parse_number());
-    } else if (key == "trace") {
-      rec.trace = static_cast<SpanId>(parse_number());
-    } else if (key == "kind") {
-      std::string v = parse_string();
-      bool known = false;
-      for (std::size_t k = 0; k < kNumSpanKinds; ++k) {
-        if (v == span_kind_name(static_cast<SpanKind>(k))) {
-          rec.kind = static_cast<SpanKind>(k);
-          known = true;
-        }
-      }
-      PQRA_CHECK(known, "span trace: unknown kind '" + v + "'");
-    } else if (key == "status") {
-      std::string v = parse_string();
-      bool known = false;
-      for (std::uint8_t s = 0; s <= 4; ++s) {
-        if (v == span_status_name(static_cast<SpanStatus>(s))) {
-          rec.status = static_cast<SpanStatus>(s);
-          known = true;
-        }
-      }
-      PQRA_CHECK(known, "span trace: unknown status '" + v + "'");
-    } else if (key == "proc") {
-      rec.proc = static_cast<std::uint32_t>(parse_number());
-    } else if (key == "reg") {
-      rec.reg = static_cast<std::uint32_t>(parse_number());
-    } else if (key == "op") {
-      rec.op = static_cast<std::uint64_t>(parse_number());
-    } else if (key == "start") {
-      rec.start = parse_number();
-    } else if (key == "end") {
-      rec.end = parse_number();
-    } else if (key == "open") {
-      rec.open = parse_bool();
-    } else if (key == "write") {
-      rec.is_write = parse_bool();
-    } else if (key == "attempt") {
-      rec.attempt = static_cast<std::uint32_t>(parse_number());
-    } else if (key == "server") {
-      rec.server = static_cast<std::uint32_t>(parse_number());
-    } else if (key == "ts") {
-      rec.ts = static_cast<std::uint64_t>(parse_number());
-    } else if (key == "cache") {
-      rec.from_cache = parse_bool();
-    } else if (key == "stale") {
-      rec.stale_depth = static_cast<std::uint64_t>(parse_number());
-    } else if (key == "quorum") {
-      parse_id_array(rec.quorum);
-    } else if (key == "fresh") {
-      parse_id_array(rec.fresh);
-    } else {
-      PQRA_CHECK(false, "span trace: unknown key '" + key + "'");
-    }
-  }
-
-  void parse_id_array(std::vector<std::uint32_t>& out) {
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return;
-    }
-    while (true) {
-      out.push_back(static_cast<std::uint32_t>(parse_number()));
-      skip_ws();
-      if (peek() == ']') {
-        ++pos_;
-        break;
-      }
-      expect(',');
-    }
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    PQRA_CHECK(pos_ < s_.size(), "span trace: truncated line");
-    return s_[pos_];
-  }
-
-  void expect(char c) {
-    skip_ws();
-    PQRA_CHECK(peek() == c, std::string("span trace: expected '") + c + "'");
-    ++pos_;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (peek() != '"') {
-      char c = s_[pos_++];
-      if (c == '\\') {
-        char esc = peek();
-        ++pos_;
-        switch (esc) {
-          case '"':
-            out += '"';
-            break;
-          case '\\':
-            out += '\\';
-            break;
-          case 'n':
-            out += '\n';
-            break;
-          case 't':
-            out += '\t';
-            break;
-          default:
-            PQRA_CHECK(false, "span trace: unsupported escape");
-        }
-      } else {
-        out += c;
-      }
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  bool parse_bool() {
-    skip_ws();
-    if (s_.compare(pos_, 4, "true") == 0) {
-      pos_ += 4;
-      return true;
-    }
-    if (s_.compare(pos_, 5, "false") == 0) {
-      pos_ += 5;
-      return false;
-    }
-    PQRA_CHECK(false, "span trace: expected a boolean");
-    return false;
-  }
-
-  double parse_number() {
-    skip_ws();
-    std::size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E')) {
-      ++pos_;
-    }
-    PQRA_CHECK(pos_ > start, "span trace: expected a number");
-    double v = 0.0;
-    try {
-      v = std::stod(s_.substr(start, pos_ - start));
-    } catch (const std::exception&) {
-      PQRA_CHECK(false, "span trace: number out of range");
-    }
-    return v;
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::vector<SpanRecord> parse_spans_jsonl(std::istream& in) {
   std::vector<SpanRecord> spans;
-  std::string line;
-  std::size_t lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    bool blank = true;
-    for (char c : line) {
-      if (!std::isspace(static_cast<unsigned char>(c))) blank = false;
+  JsonlReader r(in, "parse_spans_jsonl");
+  std::string key;
+  while (r.next_line()) {
+    SpanRecord rec;
+    while (r.next_key(key)) {
+      if (key == "id") {
+        rec.id = r.read_uint<SpanId>();
+      } else if (key == "parent") {
+        rec.parent = r.read_uint<SpanId>();
+      } else if (key == "trace") {
+        rec.trace = r.read_uint<SpanId>();
+      } else if (key == "kind") {
+        const std::string v = r.read_string();
+        std::size_t k = 0;
+        while (k < kNumSpanKinds &&
+               v != span_kind_name(static_cast<SpanKind>(k))) {
+          ++k;
+        }
+        if (k == kNumSpanKinds) r.fail("unknown kind '" + v + "'");
+        rec.kind = static_cast<SpanKind>(k);
+      } else if (key == "status") {
+        const std::string v = r.read_string();
+        std::uint8_t s = 0;
+        while (s <= 4 && v != span_status_name(static_cast<SpanStatus>(s))) {
+          ++s;
+        }
+        if (s > 4) r.fail("unknown status '" + v + "'");
+        rec.status = static_cast<SpanStatus>(s);
+      } else if (key == "proc") {
+        rec.proc = r.read_uint<std::uint32_t>();
+      } else if (key == "reg") {
+        rec.reg = r.read_uint<std::uint32_t>();
+      } else if (key == "op") {
+        rec.op = r.read_uint<std::uint64_t>();
+      } else if (key == "start") {
+        rec.start = r.read_double();
+      } else if (key == "end") {
+        rec.end = r.read_double();
+      } else if (key == "open") {
+        rec.open = r.read_bool();
+      } else if (key == "write") {
+        rec.is_write = r.read_bool();
+      } else if (key == "attempt") {
+        rec.attempt = r.read_uint<std::uint32_t>();
+      } else if (key == "server") {
+        rec.server = r.read_uint<std::uint32_t>();
+      } else if (key == "ts") {
+        rec.ts = r.read_uint<std::uint64_t>();
+      } else if (key == "cache") {
+        rec.from_cache = r.read_bool();
+      } else if (key == "stale") {
+        rec.stale_depth = r.read_uint<std::uint64_t>();
+      } else if (key == "quorum") {
+        rec.quorum = r.read_uint32_array();
+      } else if (key == "fresh") {
+        rec.fresh = r.read_uint32_array();
+      } else {
+        r.fail("unknown key '" + key + "'");
+      }
     }
-    if (blank) continue;
-    try {
-      spans.push_back(SpanLineParser(line).parse());
-    } catch (const std::exception& e) {
-      PQRA_CHECK(false, "parse_spans_jsonl: line " + std::to_string(lineno) +
-                            ": " + e.what());
-    }
+    spans.push_back(std::move(rec));
   }
   return spans;
 }

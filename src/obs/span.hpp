@@ -3,13 +3,15 @@
 /// \file span.hpp
 /// Causal span tracing for register protocols.
 ///
-/// Where obs::OpTraceEvent records one flat event per completed operation,
-/// spans record the causal tree underneath it: the client operation, each
-/// per-replica RPC attempt, each retry/backoff wait, and the replica-side
-/// handling — linked by parent ids and grouped by a trace id so a single
-/// stale read can be traced to the exact k-of-n probe that missed the
-/// latest write (the paper's ε-intersection, per operation instead of in
-/// aggregate).
+/// Where the operation history (core/spec/history.hpp) keeps one record per
+/// read/write for the spec checkers, spans record the causal tree
+/// underneath it: the client operation, each per-replica RPC attempt, each
+/// retry/backoff wait, and the replica-side handling — linked by parent ids
+/// and grouped by a trace id so a single stale read can be traced to the
+/// exact k-of-n probe that missed the latest write (the paper's
+/// ε-intersection, per operation instead of in aggregate).  The protocol
+/// detail of an operation — cache provenance, quorum accesses, staleness
+/// depth, the responding quorum — lives on its client_op root span only.
 ///
 /// Ids travel across the network in net::Message's `trace`/`span` header
 /// fields (both transports copy them opaquely; this file deliberately knows
@@ -25,9 +27,10 @@
 /// std::function, no locks, no clocks, vector-append only) and is driven
 /// from the single-threaded DES event loop.
 ///
-/// Serializations mirror trace.hpp: JSONL (round-trippable, line-numbered
-/// parse errors) and Chrome trace-event JSON (stable sorted emit order).
-/// See docs/OBSERVABILITY.md.
+/// Serializations: JSONL (round-trippable, read back through obs/jsonl.hpp
+/// with line-numbered parse errors) and Chrome trace-event JSON (stable
+/// sorted emit order; client_op roots draw as one "read rN"/"write rN"
+/// slice per operation, one lane per process).  See docs/OBSERVABILITY.md.
 
 #include <cstdint>
 #include <iosfwd>

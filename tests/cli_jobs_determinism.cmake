@@ -1,8 +1,9 @@
 # Jobs-invariance check at the CLI level (driven by the cli_jobs_determinism
 # ctest entry): the parallel replication driver must be a pure wall-clock
-# optimisation — stdout, the metrics JSON, the Prometheus export and the op
-# trace must be byte-identical between --jobs 1 and --jobs 8, with and
-# without a fault plan.  See docs/PERFORMANCE.md for the contract.
+# optimisation — stdout, the metrics JSON, the Prometheus export and the
+# run-0 history (--trace-out) must be byte-identical between --jobs 1 and
+# --jobs 8, with and without a fault plan.  See docs/PERFORMANCE.md for the
+# contract.
 #
 # Inputs: -DCLI=<path to experiment_cli> -DWORK_DIR=<scratch directory>
 
@@ -23,18 +24,17 @@ function(check_identical label a b)
   endif()
 endfunction()
 
-# Scenario 1: fault-free multi-run experiment, all export formats.  sync=1:
-# in async mode a run can converge with its last write still in flight,
-# which the completion-only trace flags — a pre-existing trace-mode caveat,
-# not a jobs issue (the faulted scenario below covers async via the
-# recorded-history checks).
+# Scenario 1: fault-free synchronous multi-run experiment, all export
+# formats (the faulted scenario below covers async).
 set(base_args app=apsp graph=chain size=10 quorum=prob k=3 servers=8
     monotone=1 sync=1 runs=6 cap=5000 seed=5)
 # Scenario 2: the same workload under an explicit fault plan (retries,
 # fault metrics and the recorded history must all stay jobs-invariant).
+# The plan's clauses are joined by \; so CMake passes them as ONE argument
+# (a bare ; would split the list and drop every clause after the first).
 set(fault_args app=apsp graph=chain size=10 quorum=prob k=3 servers=8
     monotone=1 sync=0 runs=4 cap=5000 seed=5
-    "fault-plan=outage:2@5-60;slow:1*4@10;drop=0.02;dup=0.01")
+    "fault-plan=outage:2@5-60\;slow:1*4@10\;drop=0.02\;dup=0.01")
 
 foreach(scenario base fault)
   foreach(jobs 1 8)

@@ -1,7 +1,7 @@
 # Jobs-invariance check for the sharded multi-key store app (driven by the
 # cli_multikey_determinism ctest entry): on a mixed-key Zipfian workload —
 # fault-free and under a key-addressed fault plan — stdout, the metrics
-# JSON, the Prometheus export, the op trace and the causal spans must be
+# JSON, the Prometheus export, the run-0 history and the causal spans must be
 # byte-identical between --jobs 1 and --jobs 8.  See docs/SHARDING.md and
 # docs/PERFORMANCE.md for the contract.
 #
@@ -32,9 +32,11 @@ set(base_args app=store keys=512 theta=0.7 servers=12 replicas=3 k=2
 # targets (crash:k5 = "crash key 5's primary replica") plus a node outage
 # and message drops — retries, fault metrics and the recorded histories
 # must all stay jobs-invariant.
+# The plan's clauses are joined by \; so CMake passes them as ONE argument
+# (a bare ; would split the list and drop every clause after the first).
 set(fault_args app=store keys=512 theta=0.7 servers=12 replicas=3 k=2
     vnodes=8 clients=4 ops=60 runs=3 seed=9
-    "fault-plan=crash:k5@20;recover:k5@120;outage:2@40-90;drop=0.01")
+    "fault-plan=crash:k5@20\;recover:k5@120\;outage:2@40-90\;drop=0.01")
 
 foreach(scenario base fault)
   foreach(jobs 1 8)

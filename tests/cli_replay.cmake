@@ -10,10 +10,12 @@ endif()
 
 file(MAKE_DIRECTORY "${WORK_DIR}")
 
+# The plan's clauses are joined by \; so CMake passes them as ONE argument
+# (a bare ; would split the list and drop every clause after the first).
 set(common_args
   app=apsp graph=chain size=10 quorum=prob k=3 servers=8
   monotone=1 sync=0 runs=1 cap=5000 seed=5
-  "fault-plan=outage:2@5-60;slow:1*4@10;drop=0.02;dup=0.01")
+  "fault-plan=outage:2@5-60\;slow:1*4@10\;drop=0.02\;dup=0.01")
 
 foreach(run a b)
   execute_process(

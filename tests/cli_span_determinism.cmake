@@ -29,9 +29,11 @@ set(base_args app=apsp graph=chain size=10 quorum=prob k=3 servers=8
     monotone=1 sync=1 runs=6 cap=5000 seed=5 span-sample=1)
 # Scenario 2: the same workload under an explicit fault plan with sampling
 # (retry-wait spans, unanswered RPCs, degraded closes must all replay).
+# The plan's clauses are joined by \; so CMake passes them as ONE argument
+# (a bare ; would split the list and drop every clause after the first).
 set(fault_args app=apsp graph=chain size=10 quorum=prob k=3 servers=8
     monotone=1 sync=0 runs=4 cap=5000 seed=5 span-sample=3
-    "fault-plan=outage:2@5-60;slow:1*4@10;drop=0.02;dup=0.01")
+    "fault-plan=outage:2@5-60\;slow:1*4@10\;drop=0.02\;dup=0.01")
 
 foreach(scenario base fault)
   foreach(jobs 1 4)

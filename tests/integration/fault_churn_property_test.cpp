@@ -55,9 +55,9 @@ TEST_P(FaultChurnProperty, SpecHoldsUnderSeededChurnAndMessageFaults) {
   options.fault_plan = &plan;
   options.retry = retry;
   options.max_sim_time = 50000.0;
-  // The history (unlike the op trace) records writes at invocation, so a
-  // write that is still in flight when the run ends is visible to [R2] even
-  // though reads may already have observed it.
+  // The history records writes at invocation, so a write that is still in
+  // flight when the run ends is visible to [R2] even though reads may
+  // already have observed it.
   options.record_history = true;
 
   iter::Alg1Result r = iter::run_alg1(op, options);

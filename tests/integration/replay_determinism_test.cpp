@@ -4,19 +4,19 @@
 
 #include "apps/apsp.hpp"
 #include "apps/graph.hpp"
+#include "core/spec/history.hpp"
 #include "iter/alg1_des.hpp"
 #include "net/fault_plan.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "quorum/probabilistic.hpp"
 
-/// Deterministic replay (ISSUE satellite): the same fault-plan + seed must
-/// reproduce the execution byte for byte.  Two independent runs with
-/// identical options each fill their own metrics registry and op-trace sink;
-/// the exported JSON snapshots and JSONL traces must compare equal as
-/// strings.  (The CLI-level twin of this test is cli_fault_replay in
-/// tests/CMakeLists.txt, which diffs two experiment_cli metrics files.)
+/// Deterministic replay: the same fault-plan + seed must reproduce the
+/// execution byte for byte.  Two independent runs with identical options
+/// each fill their own metrics registry and operation history; the exported
+/// JSON snapshots and history JSONL must compare equal as strings.  (The
+/// CLI-level twin of this test is cli_fault_replay in tests/CMakeLists.txt,
+/// which diffs two experiment_cli metrics files.)
 
 namespace pqra {
 namespace {
@@ -43,7 +43,6 @@ RunArtifacts run_once(std::uint64_t seed) {
   retry.jitter = 0.1;
 
   obs::Registry registry(obs::Concurrency::kSingleThread);
-  obs::OpTraceSink trace;
   iter::Alg1Options options;
   options.quorums = &qs;
   options.monotone = true;
@@ -53,7 +52,7 @@ RunArtifacts run_once(std::uint64_t seed) {
   options.retry = retry;
   options.max_sim_time = 50000.0;
   options.metrics = &registry;
-  options.trace = &trace;
+  options.record_history = true;
 
   RunArtifacts a;
   a.result = iter::run_alg1(op, options);
@@ -61,7 +60,7 @@ RunArtifacts run_once(std::uint64_t seed) {
   obs::write_json(registry, metrics_out);
   a.metrics_json = metrics_out.str();
   std::ostringstream trace_out;
-  obs::write_jsonl(trace.events(), trace_out);
+  core::spec::write_history_jsonl(a.result.history->ops(), trace_out);
   a.trace_jsonl = trace_out.str();
   return a;
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -143,10 +144,14 @@ TEST(SpanSinkTest, PublishFoldsCountersIntoRegistry) {
 
 TEST(SpanJsonlTest, RoundTripsExactly) {
   obs::SpanSink sink = make_closed_tree();
+  // 2^53 + 1 has no double; an op id must still come back exactly.
+  sink.at(1).op = 9007199254740993ULL;
   std::ostringstream out;
   obs::write_spans_jsonl(sink.spans(), out);
   std::istringstream in(out.str());
   EXPECT_EQ(obs::parse_spans_jsonl(in), sink.spans());
+  std::istringstream widest(R"({"id":18446744073709551615})");
+  EXPECT_EQ(obs::parse_spans_jsonl(widest)[0].id, UINT64_MAX);
 }
 
 TEST(SpanJsonlTest, SkipsBlankLines) {
@@ -192,6 +197,56 @@ TEST(SpanJsonlTest, RejectsMalformedInput) {
   }
   std::istringstream trailing(R"({"id":1} tail)");
   EXPECT_THROW(obs::parse_spans_jsonl(trailing), std::logic_error);
+  // Integer fields are read as integers: a sign, a fraction, an exponent
+  // or a value wider than the field is a line-numbered error.
+  for (const char* bad :
+       {R"({"id":-1})", R"({"id":1.5})", R"({"op":2e3})", R"({"op":+4})",
+        R"({"id":18446744073709551616})", R"({"proc":-1})",
+        R"({"server":4294967296})", R"({"quorum":[1,-2]})"}) {
+    std::istringstream in(std::string("\n") + bad);
+    try {
+      obs::parse_spans_jsonl(in);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// The per-operation view: every client_op root draws as one
+/// "read rN"/"write rN" slice in its client's lane.
+TEST(ChromeTraceTest, EmitsCompleteEventsPerProcess) {
+  obs::SpanSink sink;
+  obs::SpanId read = sink.begin(obs::SpanKind::kClientOp, 0, /*proc=*/35, 4.0);
+  sink.at(read).reg = 2;
+  obs::SpanId rpc = sink.begin(obs::SpanKind::kRpcAttempt, read, 35, 4.0);
+  sink.finish(rpc, obs::SpanStatus::kOk, 5.0);
+  sink.finish(read, obs::SpanStatus::kOk, 6.5);
+  obs::SpanId write =
+      sink.begin(obs::SpanKind::kClientOp, 0, /*proc=*/40, 6.5);
+  sink.at(write).is_write = true;
+  sink.finish(write, obs::SpanStatus::kOk, 8.0);
+  std::ostringstream out;
+  obs::write_spans_chrome(sink.spans(), out);
+  const std::string text = out.str();
+  EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
+  EXPECT_NE(text.find("{\"name\":\"read r2\",\"cat\":\"client_op\","
+                      "\"ph\":\"X\",\"pid\":0,\"tid\":35,\"ts\":4000,"
+                      "\"dur\":2500"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("{\"name\":\"write r0\",\"cat\":\"client_op\","
+                      "\"ph\":\"X\",\"pid\":0,\"tid\":40,"),
+            std::string::npos)
+      << text;
+  // One lane per proc: thread_name metadata for both 35 and 40.
+  EXPECT_NE(text.find("\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
+                      "\"tid\":35"),
+            std::string::npos);
+  EXPECT_NE(text.find("\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,"
+                      "\"tid\":40"),
+            std::string::npos);
 }
 
 TEST(SpanChromeTest, EmitsStableSortedBytesRegardlessOfInputOrder) {
