@@ -9,7 +9,8 @@
 ///
 /// keys (defaults):
 ///   app     = apsp | tc | csp | jacobi | agree | avail | store (apsp)
-///   graph   = chain | cycle | grid | random | tree    (chain; apsp/tc only)
+///   graph   = chain | cycle | grid | random | tree    (chain; apsp/tc
+///             only; an unknown name exits 2)
 ///   size    = problem size                            (16)
 ///   quorum  = prob | majority | grid | fpp | hier | rowa | singleton (prob)
 ///   k       = probabilistic quorum size               (4)
@@ -17,11 +18,14 @@
 ///   monotone= 0|1 (1)        sync = 0|1 (1)
 ///   runs    = repetitions (3)   seed = master seed (1)
 ///   cap     = round cap (20000)
-///   churn   = server churn intensity: 0 = off, d in (0,1) = each server is
-///             down a fraction d of the time (exponential up/down periods),
-///             >= 1 = the legacy light-churn preset (0)
+///   churn   = server churn intensity in [0, 1): 0 = off, d in (0,1) = each
+///             server is down a fraction d of the time (exponential up/down
+///             periods); anything else exits 2 (0)
 ///   fault-plan = explicit fault schedule (net::FaultPlan::parse grammar,
-///             e.g. "crash:2@10;recover:2@50;drop=0.02"); overrides churn
+///             e.g. "crash:2@10;recover:2@50;drop=0.02"); overrides churn.
+///             Its nodes are the servers then one client per process; a
+///             node id past them or a `k<KEY>` target (app=store only)
+///             exits 2 naming the clause
 ///   jobs    = worker threads for the replication loop (0 = hardware
 ///             concurrency; default 0).  Runs are independent seeded
 ///             replications, each with its own simulator and metrics shard,
@@ -44,7 +48,8 @@
 ///
 /// store keys (defaults): keys (10000), theta (0.8), servers (16),
 /// replicas (3; 0 = full replication), k (2), vnodes (16), clients (4),
-/// ops per client (100), monotone (1), horizon (600), churn/fault-plan,
+/// ops per client (100), monotone (1), horizon (600), churn/fault-plan
+/// (churn in [0, 1); fault-plan nodes are the servers then the clients),
 /// runs (3), seed (1), jobs (0).
 ///
 /// app=avail is the dynamic-availability experiment (ISSUE: churn where
@@ -56,8 +61,10 @@
 /// client's last acked write).  Exit status 0 means the paper's claim held
 /// (selected >= 95% success, majority < 50%).
 ///
-/// avail-only keys (docs/DURABILITY.md):
-///   recovery = memory | amnesia | wal   (memory)
+/// avail keys: servers (25), k (4), quorum (prob), runs (3), seed (1),
+/// churn (0.6; must lie in (0, 1)), horizon (6000), jobs (0), and
+/// (docs/DURABILITY.md):
+///   recovery = memory | amnesia | wal   (memory; any other name exits 2)
 ///     memory:  recovering servers keep their in-memory store (the legacy
 ///              behavior — a crash only severs the network).
 ///     amnesia: recovering servers come back empty, re-preloaded with the
@@ -91,8 +98,9 @@
 ///
 /// Input the selected app does not understand is rejected with exit status
 /// 2 before anything runs: an unknown key (`unknown option '<key>'`), a
-/// malformed argument, or a value that is not a whole number / number where
-/// one is expected.
+/// malformed argument, a value that is not a whole number / number where
+/// one is expected, a number or name outside a key's range, or a fault plan
+/// the run cannot install.
 
 #include <algorithm>
 #include <charconv>
@@ -138,6 +146,7 @@
 #include "storage/durable_store.hpp"
 #include "storage/mem_disk.hpp"
 #include "util/codec.hpp"
+#include "util/math.hpp"
 #include "util/stats.hpp"
 #include "util/zipf.hpp"
 
@@ -163,6 +172,13 @@ T parse_value(const std::string& key, const std::string& text,
                 expected);
   }
   return value;
+}
+
+/// Exits 2: \p value is a number but outside what \p key accepts.
+[[noreturn]] void bad_value(const std::string& key, double value,
+                            const char* expected) {
+  usage_error("bad value '" + util::format_double(value) + "' for " + key +
+              ": expected " + expected);
 }
 
 class Args {
@@ -232,8 +248,8 @@ apps::Graph make_graph(const std::string& kind, std::size_t size,
   }
   if (kind == "random") return apps::make_random_gnp(size, 0.3, 1, 9, rng);
   if (kind == "tree") return apps::make_random_tree(size, rng);
-  std::fprintf(stderr, "unknown graph '%s', using chain\n", kind.c_str());
-  return apps::make_chain(size);
+  usage_error("bad value '" + kind +
+              "' for graph: expected chain | cycle | grid | random | tree");
 }
 
 std::unique_ptr<iter::AcoOperator> make_app(const std::string& app,
@@ -571,26 +587,20 @@ int run_availability(Args& args) {
   const std::string quorum_kind = args.get("quorum", "prob");
   const std::size_t runs = args.get_n("runs", 3);
   const std::uint64_t seed = args.get_n("seed", 1);
-  double churn = args.get_f("churn", 0.6);
-  if (churn <= 0.0 || churn >= 1.0) {
-    std::fprintf(stderr,
-                 "app=avail needs churn in (0,1); using 0.6 instead of %g\n",
-                 churn);
-    churn = 0.6;
+  const double churn = args.get_f("churn", 0.6);
+  if (!(churn > 0.0 && churn < 1.0)) {
+    bad_value("churn", churn, "a downtime fraction in (0, 1)");
   }
   const double horizon = args.get_f("horizon", 6000.0);
-  std::string recovery_name = args.get("recovery", "memory");
+  const std::string recovery_name = args.get("recovery", "memory");
   AvailRecovery recovery = AvailRecovery::kMemory;
   if (recovery_name == "amnesia") {
     recovery = AvailRecovery::kAmnesia;
   } else if (recovery_name == "wal") {
     recovery = AvailRecovery::kWal;
   } else if (recovery_name != "memory") {
-    std::fprintf(stderr,
-                 "app=avail: unknown recovery '%s' (memory|amnesia|wal); "
-                 "using memory\n",
-                 recovery_name.c_str());
-    recovery_name = "memory";
+    usage_error("bad value '" + recovery_name +
+                "' for recovery: expected memory | amnesia | wal");
   }
   const std::size_t snapshot_every = args.get_n("snapshot-every", 64);
   const std::string metrics_out = args.get("metrics-out", "");
@@ -773,14 +783,25 @@ struct StoreConfig {
   bool monotone = true;
   double horizon = 600.0;
   double churn = 0.0;
+  /// Explicit schedule with its key targets already resolved through the
+  /// ring (make_ring); empty when the run uses churn or no faults.
   net::FaultPlan fault_plan;
-  bool have_fault_plan = false;
   /// Shared rank distribution, built once per invocation: the zeta
   /// normalization is O(keys) with a pow() per key, which at 10⁵ keys costs
   /// more than a run's whole setup.  Draw() is const and thread-safe, so
   /// every run (and every --jobs thread) samples the same object.
   const util::Zipfian* zipf = nullptr;
 };
+
+/// The run's consistent-hash ring over servers [0, servers): the same for
+/// every run, so a plan's key targets resolve once, before any run.
+core::keyspace::HashRing make_ring(const StoreConfig& cfg) {
+  core::keyspace::HashRing ring(cfg.vnodes);
+  for (std::size_t s = 0; s < cfg.servers; ++s) {
+    ring.add_node(static_cast<net::NodeId>(s));
+  }
+  return ring;
+}
 
 struct StoreRunOutput {
   std::uint64_t fingerprint = 0;
@@ -808,8 +829,7 @@ StoreRunOutput run_store_once(const StoreConfig& cfg, std::uint64_t run_seed,
   const std::size_t total_keys = keys_per_client * cfg.clients;
   const bool sharded = cfg.replicas > 0;
 
-  core::keyspace::HashRing ring(cfg.vnodes);
-  for (net::NodeId s = 0; s < n; ++s) ring.add_node(s);
+  const core::keyspace::HashRing ring = make_ring(cfg);
   quorum::ProbabilisticQuorums quorums(sharded ? cfg.replicas : cfg.servers,
                                        cfg.k);
 
@@ -874,19 +894,11 @@ StoreRunOutput run_store_once(const StoreConfig& cfg, std::uint64_t run_seed,
                        cfg.ops, i, cfg.clients, keys_per_client, cfg.zipf);
   }
 
-  // Fault schedule: explicit plan (key targets resolve through the ring) or
-  // random churn; either way the horizon fully recovers the cluster so
-  // pending ops complete and [R1] stays checkable.
-  net::FaultPlan plan;
-  if (cfg.have_fault_plan) {
-    plan = cfg.fault_plan;
-    if (plan.has_key_targets()) {
-      plan = plan.resolve_keys([&](net::KeyId key) {
-        return sharded ? ring.primary(key)
-                       : static_cast<net::NodeId>(key % cfg.servers);
-      });
-    }
-  } else if (cfg.churn > 0.0 && cfg.churn < 1.0) {
+  // Fault schedule: explicit plan (key targets already resolved) or random
+  // churn; either way the horizon fully recovers the cluster so pending ops
+  // complete and [R1] stays checkable.
+  net::FaultPlan plan = cfg.fault_plan;
+  if (cfg.churn > 0.0) {
     util::Rng churn_rng(run_seed * 1000003 + 17);
     plan = make_churn_plan(cfg.servers, cfg.churn, cfg.horizon, churn_rng);
   }
@@ -957,13 +969,24 @@ int run_store(Args& args) {
                  "[0,1), replicas <= servers, k <= group size\n");
     return 2;
   }
+  if (!(cfg.churn >= 0.0 && cfg.churn < 1.0)) {
+    bad_value("churn", cfg.churn, "a downtime fraction in [0, 1)");
+  }
   if (!fault_spec.empty()) {
+    // The explicit plan overrides churn; replicas=0 maps a key to
+    // key % servers, as the unsharded store does.
+    cfg.churn = 0.0;
+    const core::keyspace::HashRing ring = make_ring(cfg);
     try {
-      cfg.fault_plan = net::FaultPlan::parse(fault_spec);
-      cfg.have_fault_plan = true;
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
+      cfg.fault_plan = net::FaultPlan::parse(fault_spec).resolve_keys(
+          [&](net::KeyId key) {
+            return cfg.replicas > 0
+                       ? ring.primary(key)
+                       : static_cast<net::NodeId>(key % cfg.servers);
+          });
+      cfg.fault_plan.check_targets(cfg.servers + cfg.clients);
+    } catch (const std::logic_error& e) {
+      usage_error(std::string("fault-plan: ") + e.what());
     }
   }
 
@@ -971,7 +994,7 @@ int run_store(Args& args) {
               "k=%zu vnodes=%zu | clients=%zu ops=%zu%s | %zu runs\n\n",
               cfg.keys, cfg.theta, cfg.servers, cfg.replicas, cfg.k,
               cfg.vnodes, cfg.clients, cfg.ops,
-              (cfg.have_fault_plan || cfg.churn > 0.0) ? " | faults" : "",
+              (!fault_spec.empty() || cfg.churn > 0.0) ? " | faults" : "",
               runs);
 
   // The exported history and spans are run 0's only; every run reports into
@@ -1086,14 +1109,20 @@ int main(int argc, char** argv) {
   std::unique_ptr<quorum::QuorumSystem> quorums =
       make_quorums(quorum_kind, servers, k);
   if (op == nullptr || quorums == nullptr) return 2;
+  if (!(churn >= 0.0 && churn < 1.0)) {
+    bad_value("churn", churn, "a downtime fraction in [0, 1)");
+  }
 
   net::FaultPlan parsed_plan;
   if (!fault_spec.empty()) {
     try {
       parsed_plan = net::FaultPlan::parse(fault_spec);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
+      // run_alg1's network: the servers, then one client per process (one
+      // process per component).
+      parsed_plan.check_targets(quorums->num_servers() +
+                                op->num_components());
+    } catch (const std::logic_error& e) {
+      usage_error(std::string("fault-plan: ") + e.what());
     }
   }
   const bool faulty = !fault_spec.empty() || churn > 0.0;
@@ -1147,14 +1176,10 @@ int main(int argc, char** argv) {
           // Explicit schedule: identical for every run (determinism tests
           // rely on byte-identical behaviour across invocations).
           plan = parsed_plan;
-        } else if (churn > 0.0 && churn < 1.0) {
+        } else if (churn > 0.0) {
           plan = net::FaultPlan::random_churn(quorums->num_servers(), 2000.0,
                                               160.0 * (1.0 - churn),
                                               160.0 * churn, churn_rng);
-        } else if (churn >= 1.0) {
-          // Legacy preset: light churn, ~20% downtime.
-          plan = net::FaultPlan::random_churn(quorums->num_servers(), 2000.0,
-                                              60.0, 15.0, churn_rng);
         }
         if (faulty) {
           options.fault_plan = &plan;

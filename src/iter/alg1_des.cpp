@@ -193,7 +193,7 @@ Alg1Result run_alg1(const AcoOperator& op, const Alg1Options& options) {
                                         op.initial(j));
     }
   }
-  for (net::NodeId s : options.crashed_servers) transport.crash(s);
+  for (net::NodeId s : options.crashed_servers) transport.faults().crash(s);
   if (options.fault_plan != nullptr) {
     options.fault_plan->install(simulator, transport);
   }
@@ -209,11 +209,7 @@ Alg1Result run_alg1(const AcoOperator& op, const Alg1Options& options) {
 
   core::ClientOptions client_options;
   client_options.monotone = options.monotone;
-  if (options.retry.has_value()) {
-    client_options.retry = *options.retry;
-  } else if (options.retry_timeout.has_value()) {
-    client_options.retry = core::RetryPolicy::fixed(*options.retry_timeout);
-  }
+  if (options.retry.has_value()) client_options.retry = *options.retry;
   client_options.read_repair = options.read_repair;
   client_options.write_back = options.write_back;
   client_options.metrics = options.metrics;

@@ -76,13 +76,9 @@ struct Alg1Options {
   /// experiments); non-owning, may be nullptr.
   const net::FaultPlan* fault_plan = nullptr;
 
-  /// Per-operation retry timeout (needed for liveness under crashes).
-  /// Shorthand for a fixed-interval core::RetryPolicy; ignored when `retry`
-  /// below is set.
-  std::optional<sim::Time> retry_timeout;
-
-  /// Full recovery policy (backoff, jitter, deadline, graceful degradation —
-  /// docs/FAULTS.md).  Overrides retry_timeout when set.
+  /// Recovery policy (backoff, jitter, deadline, graceful degradation —
+  /// docs/FAULTS.md); needed for liveness under crashes.
+  /// core::RetryPolicy::fixed(t) retries every t time units.
   std::optional<core::RetryPolicy> retry;
 
   /// Hard wall on simulated time; ends the run unconverged.  Needed when an

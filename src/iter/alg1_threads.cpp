@@ -29,10 +29,7 @@ Alg1ThreadsResult run_alg1_threads(const AcoOperator& op,
   util::Rng master(options.seed);
   net::ThreadTransport transport(static_cast<net::NodeId>(n + p),
                                  /*fault_seed=*/options.seed);
-  if (options.metrics != nullptr) {
-    transport.bind_metrics(*options.metrics);
-    transport.bind_fault_metrics(*options.metrics);
-  }
+  if (options.metrics != nullptr) transport.bind_metrics(*options.metrics);
 
   // Server threads at NodeIds [0, n), replicas preloaded before they start.
   std::vector<std::unique_ptr<core::ThreadedServer>> servers;
@@ -164,7 +161,8 @@ Alg1ThreadsResult run_alg1_threads(const AcoOperator& op,
   // All clients are done; unblock and join the servers.  A still-crashed
   // server is no obstacle: crash only drops its messages at send time, and
   // close() unblocks every mailbox.
-  result.faults = transport.fault_counters();
+  result.faults =
+      transport.with_faults([](net::FaultInjector& f) { return f.counters(); });
   transport.close();
   servers.clear();
 

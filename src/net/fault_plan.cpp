@@ -1,83 +1,395 @@
 #include "net/fault_plan.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
-#include <sstream>
+#include <cmath>
+#include <iterator>
+#include <string_view>
 
 #include "util/check.hpp"
 #include "util/math.hpp"
 
 namespace pqra::net {
 
-const char* fault_kind_name(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kCrash:
-      return "crash";
-    case FaultKind::kRecover:
-      return "recover";
-    case FaultKind::kSlow:
-      return "slow";
-    case FaultKind::kClearSlow:
-      return "noslow";
-    case FaultKind::kPartition:
-      return "partition";
-    case FaultKind::kHeal:
-      return "heal";
-    case FaultKind::kTornWrite:
-      return "tornwrite";
-    case FaultKind::kFsyncLoss:
-      return "fsyncloss";
-    case FaultKind::kClearFsyncLoss:
-      return "nofsyncloss";
+namespace {
+
+/// How a timed verb's argument is written between `name` and `@T`.
+enum class Shape : std::uint8_t {
+  kTarget,        ///< `crash:N@T` — a node or `k<KEY>` target
+  kTargetFactor,  ///< `slow:N*F@T` — a target and a delay factor
+  kGroups,        ///< `partition:0-2,k7|3@T` — `|`-separated member groups
+  kNone,          ///< `heal@T`
+};
+
+struct Verb {
+  std::string_view name;
+  FaultKind kind;
+  Shape shape;
+};
+
+/// The fault vocabulary: one row per FaultKind.  parse() and serialize()
+/// both read it.
+constexpr Verb kVerbs[] = {
+    {"crash", FaultKind::kCrash, Shape::kTarget},
+    {"recover", FaultKind::kRecover, Shape::kTarget},
+    {"slow", FaultKind::kSlow, Shape::kTargetFactor},
+    {"noslow", FaultKind::kClearSlow, Shape::kTarget},
+    {"partition", FaultKind::kPartition, Shape::kGroups},
+    {"heal", FaultKind::kHeal, Shape::kNone},
+    {"tornwrite", FaultKind::kTornWrite, Shape::kTarget},
+    {"fsyncloss", FaultKind::kFsyncLoss, Shape::kTarget},
+    {"nofsyncloss", FaultKind::kClearFsyncLoss, Shape::kTarget},
+};
+
+const Verb& verb_of(FaultKind kind) {
+  return *std::find_if(std::begin(kVerbs), std::end(kVerbs),
+                       [kind](const Verb& verb) { return verb.kind == kind; });
+}
+
+/// Window sugar `name:N@T1-T2`: the open verb at T1, the close verb at T2.
+/// It parses to the pair, which is also its serialized form.
+struct Window {
+  std::string_view name;
+  FaultKind open;
+  FaultKind close;
+};
+
+constexpr Window kWindows[] = {
+    {"outage", FaultKind::kCrash, FaultKind::kRecover},
+    {"fsyncloss", FaultKind::kFsyncLoss, FaultKind::kClearFsyncLoss},
+};
+
+/// The message-fault knobs `name=V`, plus reorder's `name=P:MAXDELAY`, in
+/// serialize() order; a knob is written when its first value is > 0.
+struct Knob {
+  std::string_view name;
+  double MessageFaults::*value;
+  double MessageFaults::*second = nullptr;
+};
+
+constexpr Knob kKnobs[] = {
+    {"drop", &MessageFaults::drop_probability},
+    {"dup", &MessageFaults::duplicate_probability},
+    {"delay", &MessageFaults::extra_delay},
+    {"reorder", &MessageFaults::reorder_probability,
+     &MessageFaults::reorder_delay_max},
+};
+
+template <typename Row, std::size_t N>
+const Row* find_row(const Row (&table)[N], std::string_view name) {
+  for (const Row& row : table) {
+    if (row.name == name) return &row;
   }
-  return "?";
+  return nullptr;
 }
 
-FaultPlan& FaultPlan::crash_at(sim::Time at, NodeId node) {
-  PQRA_REQUIRE(at >= 0.0, "events cannot be scheduled before time 0");
-  events_.push_back(Event{.at = at, .kind = FaultKind::kCrash, .node = node});
-  return *this;
+bool has_keys(const FaultPlan::Event& ev) {
+  return ev.node_is_key ||
+         std::any_of(
+             ev.group_keys.begin(), ev.group_keys.end(),
+             [](const std::vector<KeyId>& keys) { return !keys.empty(); });
 }
 
-FaultPlan& FaultPlan::recover_at(sim::Time at, NodeId node) {
-  PQRA_REQUIRE(at >= 0.0, "events cannot be scheduled before time 0");
-  events_.push_back(Event{.at = at, .kind = FaultKind::kRecover, .node = node});
-  return *this;
+/// Why \p ev cannot be in a plan, or nullptr when it can.
+const char* event_error(const FaultPlan::Event& ev) {
+  if (!std::isfinite(ev.at) || ev.at < 0.0) {
+    return "event time must be finite and >= 0";
+  }
+  if (ev.kind == FaultKind::kSlow &&
+      (!std::isfinite(ev.factor) || ev.factor < 1.0)) {
+    return "slow factor must be finite and >= 1";
+  }
+  if (ev.kind != FaultKind::kPartition) return nullptr;
+  if (ev.groups.size() < 2) return "a partition needs at least two groups";
+  if (!ev.group_keys.empty() && ev.group_keys.size() != ev.groups.size()) {
+    return "partition key groups must parallel the node groups";
+  }
+  std::vector<NodeId> members;
+  for (std::size_t g = 0; g < ev.groups.size(); ++g) {
+    if (ev.groups[g].empty() &&
+        (ev.group_keys.empty() || ev.group_keys[g].empty())) {
+      return "empty partition group";
+    }
+    members.insert(members.end(), ev.groups[g].begin(), ev.groups[g].end());
+  }
+  std::sort(members.begin(), members.end());
+  if (std::adjacent_find(members.begin(), members.end()) != members.end()) {
+    return "node in two partition groups";
+  }
+  return nullptr;
 }
 
-FaultPlan& FaultPlan::crash_key_at(sim::Time at, KeyId key) {
-  crash_at(at, key);
-  events_.back().node_is_key = true;
-  return *this;
+/// Why \p m is not a message-fault configuration, or nullptr when it is.
+const char* message_faults_error(const MessageFaults& m) {
+  const auto probability = [](double p) { return p >= 0.0 && p <= 1.0; };
+  const auto delay = [](double d) { return std::isfinite(d) && d >= 0.0; };
+  if (!probability(m.drop_probability) ||
+      !probability(m.duplicate_probability) ||
+      !probability(m.reorder_probability)) {
+    return "probability must lie in [0, 1]";
+  }
+  if (!delay(m.extra_delay) || !delay(m.reorder_delay_max)) {
+    return "delay must be finite and >= 0";
+  }
+  return nullptr;
 }
 
-FaultPlan& FaultPlan::recover_key_at(sim::Time at, KeyId key) {
-  recover_at(at, key);
-  events_.back().node_is_key = true;
-  return *this;
+/// A reorder delay with zero probability is unobservable and has no clause
+/// in the serialize() grammar; normalizing it away here keeps
+/// parse(serialize(plan)) structurally equal to plan, not just
+/// string-equal (tests/net/fault_plan_roundtrip_test.cpp).
+MessageFaults normalized(MessageFaults faults) {
+  if (faults.reorder_probability <= 0.0) faults.reorder_delay_max = 0.0;
+  return faults;
 }
 
-FaultPlan& FaultPlan::slow_key_at(sim::Time at, KeyId key, double factor) {
-  slow_at(at, key, factor);
-  events_.back().node_is_key = true;
-  return *this;
+/// The clause for \p ev in the parse() grammar.
+std::string clause_text(const FaultPlan::Event& ev) {
+  const Verb& verb = verb_of(ev.kind);
+  std::string text(verb.name);
+  // Key-addressed targets carry the `k` prefix of the grammar.
+  const std::string target =
+      (ev.node_is_key ? "k" : "") + std::to_string(ev.node);
+  switch (verb.shape) {
+    case Shape::kTarget:
+      text += ":" + target;
+      break;
+    case Shape::kTargetFactor:
+      text += ":" + target + "*" + util::format_double(ev.factor);
+      break;
+    case Shape::kGroups:
+      for (std::size_t g = 0; g < ev.groups.size(); ++g) {
+        std::string items;  // ",a,b,kK": node members, then key members
+        for (const NodeId n : ev.groups[g]) items += "," + std::to_string(n);
+        if (g < ev.group_keys.size()) {
+          for (const KeyId k : ev.group_keys[g]) {
+            items += ",k" + std::to_string(k);
+          }
+        }
+        text += (g == 0 ? ":" : "|") + items.erase(0, 1);
+      }
+      break;
+    case Shape::kNone:
+      break;
+  }
+  return text + "@" + util::format_double(ev.at);
 }
 
-FaultPlan& FaultPlan::clear_slow_key_at(sim::Time at, KeyId key) {
-  clear_slow_at(at, key);
-  events_.back().node_is_key = true;
+[[noreturn]] void parse_fail(std::string_view clause, const char* why) {
+  throw std::logic_error("bad fault-plan clause '" + std::string(clause) +
+                         "': " + why);
+}
+
+/// Calls \p fn on each \p sep-separated piece of \p text, empty ones too.
+template <typename Fn>
+void for_each_piece(std::string_view text, char sep, Fn&& fn) {
+  for (;;) {
+    const std::size_t at = text.find(sep);
+    fn(text.substr(0, at));
+    if (at == std::string_view::npos) return;
+    text.remove_prefix(at + 1);
+  }
+}
+
+/// Reads all of \p text as a T with std::from_chars, or fails the clause.
+template <typename T>
+T parse_whole(std::string_view clause, std::string_view text,
+              const char* expected) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) parse_fail(clause, expected);
+  return value;
+}
+
+/// A number; range rules are event_error's and message_faults_error's.
+double parse_number(std::string_view clause, std::string_view text) {
+  return parse_whole<double>(clause, text, "expected a number");
+}
+
+/// A node or key id: a whole number that fits 32 bits.
+std::uint32_t parse_id(std::string_view clause, std::string_view text) {
+  return parse_whole<std::uint32_t>(clause, text,
+                                    "expected a whole-number id below 2^32");
+}
+
+/// A node-or-key target position: `7` names node 7, `k7` names the node
+/// owning key 7 (docs/SHARDING.md).
+void parse_target(std::string_view clause, std::string_view text,
+                  FaultPlan::Event& ev) {
+  ev.node_is_key = !text.empty() && text.front() == 'k';
+  ev.node = parse_id(clause, ev.node_is_key ? text.substr(1) : text);
+}
+
+/// Most ids one `a-b` range may expand to.
+constexpr std::uint64_t kMaxRangeIds = std::uint64_t{1} << 16;
+
+/// Parses `|`-separated groups of `,`-lists, `a-b` node ranges and
+/// `k<KEY>` items, e.g. "0-3,7,k12|4".
+void parse_groups(std::string_view clause, std::string_view text,
+                  FaultPlan::Event& ev) {
+  std::vector<std::vector<KeyId>> group_keys;
+  bool any_keys = false;
+  for_each_piece(text, '|', [&](std::string_view group) {
+    std::vector<NodeId>& nodes = ev.groups.emplace_back();
+    std::vector<KeyId>& keys = group_keys.emplace_back();
+    for_each_piece(group, ',', [&](std::string_view item) {
+      if (!item.empty() && item.front() == 'k') {
+        keys.push_back(parse_id(clause, item.substr(1)));
+        return;
+      }
+      const std::size_t dash = item.find('-');
+      if (dash == std::string_view::npos) {
+        nodes.push_back(parse_id(clause, item));
+        return;
+      }
+      const std::uint64_t lo = parse_id(clause, item.substr(0, dash));
+      const std::uint64_t hi = parse_id(clause, item.substr(dash + 1));
+      if (hi < lo) parse_fail(clause, "range upper bound below lower bound");
+      if (hi - lo >= kMaxRangeIds) {
+        parse_fail(clause, "a range spans more than 2^16 ids");
+      }
+      for (std::uint64_t n = lo; n <= hi; ++n) {
+        nodes.push_back(static_cast<NodeId>(n));
+      }
+    });
+    any_keys = any_keys || !keys.empty();
+  });
+  if (any_keys) ev.group_keys = std::move(group_keys);
+}
+
+/// Position of the `-` splitting a `T1-T2` window, or npos.  A `-` right
+/// after an exponent marker belongs to the number (`1e-05`), and times are
+/// never negative, so a leading `-` is not a split either.
+std::size_t window_dash(std::string_view time) {
+  for (std::size_t i = 1; i < time.size(); ++i) {
+    if (time[i] == '-' && time[i - 1] != 'e' && time[i - 1] != 'E') return i;
+  }
+  return std::string_view::npos;
+}
+
+/// Checks \p ev with add()'s rules, naming \p clause, then adds it.
+void add_parsed(std::string_view clause, FaultPlan::Event ev,
+                FaultPlan& plan) {
+  if (const char* why = event_error(ev)) parse_fail(clause, why);
+  plan.add(std::move(ev));
+}
+
+/// One timed clause `head@time`.
+void parse_timed(std::string_view clause, std::string_view head,
+                 std::string_view time, FaultPlan& plan) {
+  const std::size_t colon = head.find(':');
+  const std::string_view name = head.substr(0, colon);
+  const std::string_view arg =
+      head.substr(colon == std::string_view::npos ? head.size() : colon + 1);
+  const Window* window = find_row(kWindows, name);
+  const std::size_t dash = window_dash(time);
+  if (window != nullptr && dash != std::string_view::npos) {
+    FaultPlan::Event open{.at = parse_number(clause, time.substr(0, dash)),
+                          .kind = window->open};
+    parse_target(clause, arg, open);
+    FaultPlan::Event close = open;
+    close.at = parse_number(clause, time.substr(dash + 1));
+    close.kind = window->close;
+    if (!(close.at > open.at)) {
+      parse_fail(clause, "window end must be after start");
+    }
+    add_parsed(clause, std::move(open), plan);
+    add_parsed(clause, std::move(close), plan);
+    return;
+  }
+  const Verb* verb = find_row(kVerbs, name);
+  if (verb == nullptr) {
+    parse_fail(clause, window != nullptr ? "a window needs '@from-to'"
+                                         : "unknown event kind");
+  }
+  FaultPlan::Event ev{.at = parse_number(clause, time), .kind = verb->kind};
+  switch (verb->shape) {
+    case Shape::kTarget:
+      parse_target(clause, arg, ev);
+      break;
+    case Shape::kTargetFactor: {
+      const std::size_t star = arg.find('*');
+      if (star == std::string_view::npos) {
+        parse_fail(clause, "needs a 'N*F' target and factor");
+      }
+      parse_target(clause, arg.substr(0, star), ev);
+      ev.factor = parse_number(clause, arg.substr(star + 1));
+      break;
+    }
+    case Shape::kGroups:
+      parse_groups(clause, arg, ev);
+      break;
+    case Shape::kNone:
+      if (colon != std::string_view::npos) {
+        parse_fail(clause, "takes no target");
+      }
+      break;
+  }
+  add_parsed(clause, std::move(ev), plan);
+}
+
+/// One message-fault knob `key=value` into \p m.
+void parse_knob(std::string_view clause, std::string_view key,
+                std::string_view value, MessageFaults& m) {
+  const Knob* knob = find_row(kKnobs, key);
+  if (knob == nullptr) parse_fail(clause, "unknown message-fault knob");
+  if (knob->second != nullptr) {
+    const std::size_t colon = value.find(':');
+    if (colon == std::string_view::npos) {
+      parse_fail(clause, "reorder needs 'probability:max_delay'");
+    }
+    m.*knob->second = parse_number(clause, value.substr(colon + 1));
+    value = value.substr(0, colon);
+  }
+  m.*knob->value = parse_number(clause, value);
+  if (const char* why = message_faults_error(m)) parse_fail(clause, why);
+}
+
+}  // namespace
+
+void apply(const FaultPlan::Event& event, FaultInjector& injector) {
+  switch (event.kind) {
+    case FaultKind::kCrash:
+      injector.crash(event.node);
+      break;
+    case FaultKind::kRecover:
+      injector.recover(event.node);
+      break;
+    case FaultKind::kSlow:
+      injector.set_slow(event.node, event.factor);
+      break;
+    case FaultKind::kClearSlow:
+      injector.clear_slow(event.node);
+      break;
+    case FaultKind::kPartition:
+      injector.partition(event.groups);
+      break;
+    case FaultKind::kHeal:
+      injector.heal();
+      break;
+    case FaultKind::kTornWrite:
+      injector.arm_torn_write(event.node);
+      break;
+    case FaultKind::kFsyncLoss:
+      injector.set_fsync_loss(event.node, true);
+      break;
+    case FaultKind::kClearFsyncLoss:
+      injector.set_fsync_loss(event.node, false);
+      break;
+  }
+}
+
+FaultPlan& FaultPlan::add(Event event) {
+  const char* error = event_error(event);
+  PQRA_REQUIRE(error == nullptr, error);
+  events_.push_back(std::move(event));
   return *this;
 }
 
 bool FaultPlan::has_key_targets() const {
-  for (const Event& ev : events_) {
-    if (ev.node_is_key) return true;
-    for (const std::vector<KeyId>& keys : ev.group_keys) {
-      if (!keys.empty()) return true;
-    }
-  }
-  return false;
+  return std::any_of(events_.begin(), events_.end(), has_keys);
 }
 
 FaultPlan FaultPlan::resolve_keys(
@@ -103,97 +415,40 @@ FaultPlan FaultPlan::resolve_keys(
   return resolved;
 }
 
+void FaultPlan::check_targets(std::size_t num_nodes) const {
+  for (const Event& ev : events_) {
+    const auto fail = [&ev](const std::string& why) {
+      throw std::logic_error("bad fault-plan clause '" + clause_text(ev) +
+                             "': " + why);
+    };
+    const auto check_node = [&](NodeId n) {
+      if (n < num_nodes) return;
+      fail("node " + std::to_string(n) + " is out of range (the network has " +
+           std::to_string(num_nodes) + " nodes)");
+    };
+    if (has_keys(ev)) fail("key target is not resolved to a node");
+    // Resolution can put one node in two partition groups.
+    if (const char* why = event_error(ev)) fail(why);
+    const Shape shape = verb_of(ev.kind).shape;
+    if (shape == Shape::kTarget || shape == Shape::kTargetFactor) {
+      check_node(ev.node);
+    }
+    for (const std::vector<NodeId>& group : ev.groups) {
+      for (const NodeId n : group) check_node(n);
+    }
+  }
+}
+
 FaultPlan& FaultPlan::outage(NodeId node, sim::Time from, sim::Time duration) {
   PQRA_REQUIRE(duration > 0.0, "outage must have positive duration");
-  crash_at(from, node);
-  recover_at(from + duration, node);
-  return *this;
+  add({.at = from, .kind = FaultKind::kCrash, .node = node});
+  return add(
+      {.at = from + duration, .kind = FaultKind::kRecover, .node = node});
 }
-
-FaultPlan& FaultPlan::slow_at(sim::Time at, NodeId node, double factor) {
-  PQRA_REQUIRE(at >= 0.0, "events cannot be scheduled before time 0");
-  PQRA_REQUIRE(factor >= 1.0, "slow factor must be >= 1");
-  events_.push_back(
-      Event{.at = at, .kind = FaultKind::kSlow, .node = node, .factor = factor});
-  return *this;
-}
-
-FaultPlan& FaultPlan::clear_slow_at(sim::Time at, NodeId node) {
-  PQRA_REQUIRE(at >= 0.0, "events cannot be scheduled before time 0");
-  events_.push_back(
-      Event{.at = at, .kind = FaultKind::kClearSlow, .node = node});
-  return *this;
-}
-
-FaultPlan& FaultPlan::torn_write_at(sim::Time at, NodeId node) {
-  PQRA_REQUIRE(at >= 0.0, "events cannot be scheduled before time 0");
-  events_.push_back(
-      Event{.at = at, .kind = FaultKind::kTornWrite, .node = node});
-  return *this;
-}
-
-FaultPlan& FaultPlan::torn_write_key_at(sim::Time at, KeyId key) {
-  torn_write_at(at, key);
-  events_.back().node_is_key = true;
-  return *this;
-}
-
-FaultPlan& FaultPlan::fsync_loss_at(sim::Time at, NodeId node) {
-  PQRA_REQUIRE(at >= 0.0, "events cannot be scheduled before time 0");
-  events_.push_back(
-      Event{.at = at, .kind = FaultKind::kFsyncLoss, .node = node});
-  return *this;
-}
-
-FaultPlan& FaultPlan::fsync_loss_key_at(sim::Time at, KeyId key) {
-  fsync_loss_at(at, key);
-  events_.back().node_is_key = true;
-  return *this;
-}
-
-FaultPlan& FaultPlan::clear_fsync_loss_at(sim::Time at, NodeId node) {
-  PQRA_REQUIRE(at >= 0.0, "events cannot be scheduled before time 0");
-  events_.push_back(
-      Event{.at = at, .kind = FaultKind::kClearFsyncLoss, .node = node});
-  return *this;
-}
-
-FaultPlan& FaultPlan::clear_fsync_loss_key_at(sim::Time at, KeyId key) {
-  clear_fsync_loss_at(at, key);
-  events_.back().node_is_key = true;
-  return *this;
-}
-
-FaultPlan& FaultPlan::partition_at(sim::Time at,
-                                   std::vector<std::vector<NodeId>> groups) {
-  PQRA_REQUIRE(at >= 0.0, "events cannot be scheduled before time 0");
-  PQRA_REQUIRE(groups.size() >= 2, "a partition needs at least two groups");
-  events_.push_back(Event{.at = at,
-                          .kind = FaultKind::kPartition,
-                          .groups = std::move(groups)});
-  return *this;
-}
-
-FaultPlan& FaultPlan::heal_at(sim::Time at) {
-  PQRA_REQUIRE(at >= 0.0, "events cannot be scheduled before time 0");
-  events_.push_back(Event{.at = at, .kind = FaultKind::kHeal});
-  return *this;
-}
-
-namespace {
-
-/// A reorder delay with zero probability is unobservable and has no clause
-/// in the serialize() grammar; normalizing it away here keeps
-/// parse(serialize(plan)) structurally equal to plan, not just
-/// string-equal (tests/net/fault_plan_roundtrip_test.cpp).
-MessageFaults normalized(MessageFaults faults) {
-  if (faults.reorder_probability <= 0.0) faults.reorder_delay_max = 0.0;
-  return faults;
-}
-
-}  // namespace
 
 FaultPlan& FaultPlan::with_message_faults(const MessageFaults& faults) {
+  const char* error = message_faults_error(faults);
+  PQRA_REQUIRE(error == nullptr, error);
   message_faults_ = normalized(faults);
   return *this;
 }
@@ -214,195 +469,24 @@ FaultPlan FaultPlan::random_churn(std::size_t num_servers, sim::Time horizon,
   return plan;
 }
 
-namespace {
-
-[[noreturn]] void parse_fail(const std::string& clause, const char* why) {
-  throw std::logic_error("bad fault-plan clause '" + clause + "': " + why);
-}
-
-double parse_number(const std::string& clause, const std::string& text) {
-  char* end = nullptr;
-  double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || *end != '\0') {
-    parse_fail(clause, "expected a number");
-  }
-  return v;
-}
-
-/// A node-or-key target position: `7` names node 7, `k7` names the node
-/// owning key 7 (docs/SHARDING.md).
-struct Target {
-  std::uint32_t id = 0;
-  bool is_key = false;
-};
-
-Target parse_target(const std::string& clause, const std::string& text) {
-  Target t;
-  if (!text.empty() && text[0] == 'k') {
-    t.is_key = true;
-    t.id = static_cast<std::uint32_t>(
-        parse_number(clause, text.substr(1)));
-  } else {
-    t.id = static_cast<std::uint32_t>(parse_number(clause, text));
-  }
-  return t;
-}
-
-/// Parses `a-b` ranges, `,`-lists and `k<KEY>` items into a partition
-/// group, e.g. "0-3,7,k12".  Ranges are node-only.
-void parse_group(const std::string& clause, const std::string& text,
-                 std::vector<NodeId>& nodes, std::vector<KeyId>& keys) {
-  std::istringstream in(text);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    if (!item.empty() && item[0] == 'k') {
-      keys.push_back(static_cast<KeyId>(parse_number(clause, item.substr(1))));
-      continue;
-    }
-    auto dash = item.find('-');
-    if (dash == std::string::npos) {
-      nodes.push_back(static_cast<NodeId>(parse_number(clause, item)));
-      continue;
-    }
-    auto lo = static_cast<NodeId>(
-        parse_number(clause, item.substr(0, dash)));
-    auto hi = static_cast<NodeId>(parse_number(clause, item.substr(dash + 1)));
-    if (hi < lo) parse_fail(clause, "range upper bound below lower bound");
-    for (NodeId n = lo; n <= hi; ++n) nodes.push_back(n);
-  }
-  if (nodes.empty() && keys.empty()) parse_fail(clause, "empty node group");
-}
-
-}  // namespace
-
 FaultPlan FaultPlan::parse(const std::string& spec) {
   FaultPlan plan;
   MessageFaults message;
-  std::istringstream in(spec);
-  std::string clause;
-  while (std::getline(in, clause, ';')) {
+  for_each_piece(spec, ';', [&](std::string_view raw) {
     // Whitespace around clauses is allowed: "crash:2@10; drop=0.02".
-    const auto first = clause.find_first_not_of(" \t\n");
-    if (first == std::string::npos) continue;
-    clause = clause.substr(first, clause.find_last_not_of(" \t\n") - first + 1);
-    auto eq = clause.find('=');
-    if (eq != std::string::npos && clause.find('@') == std::string::npos) {
-      // Message-fault knob.
-      const std::string key = clause.substr(0, eq);
-      const std::string val = clause.substr(eq + 1);
-      if (key == "drop") {
-        message.drop_probability = parse_number(clause, val);
-      } else if (key == "dup") {
-        message.duplicate_probability = parse_number(clause, val);
-      } else if (key == "delay") {
-        message.extra_delay = parse_number(clause, val);
-      } else if (key == "reorder") {
-        auto colon = val.find(':');
-        if (colon == std::string::npos) {
-          parse_fail(clause, "reorder needs 'probability:max_delay'");
-        }
-        message.reorder_probability =
-            parse_number(clause, val.substr(0, colon));
-        message.reorder_delay_max =
-            parse_number(clause, val.substr(colon + 1));
-      } else {
-        parse_fail(clause, "unknown message-fault knob");
-      }
-      continue;
+    const std::size_t first = raw.find_first_not_of(" \t\n");
+    if (first == std::string_view::npos) return;
+    const std::string_view clause =
+        raw.substr(first, raw.find_last_not_of(" \t\n") - first + 1);
+    const std::size_t at = clause.rfind('@');
+    const std::size_t eq = clause.find('=');
+    if (eq != std::string_view::npos && at == std::string_view::npos) {
+      parse_knob(clause, clause.substr(0, eq), clause.substr(eq + 1), message);
+      return;
     }
-
-    auto pos = clause.rfind('@');
-    if (pos == std::string::npos) parse_fail(clause, "missing '@time'");
-    const std::string head = clause.substr(0, pos);
-    const std::string time_text = clause.substr(pos + 1);
-    auto colon = head.find(':');
-    const std::string kind = head.substr(0, colon);
-    const std::string arg =
-        colon == std::string::npos ? "" : head.substr(colon + 1);
-    if (kind == "outage") {
-      // outage:N@T1-T2 — the time field is a range, not a single instant.
-      auto dash = time_text.find('-');
-      if (dash == std::string::npos) {
-        parse_fail(clause, "outage needs '@from-to'");
-      }
-      double from = parse_number(clause, time_text.substr(0, dash));
-      double to = parse_number(clause, time_text.substr(dash + 1));
-      if (to <= from) parse_fail(clause, "outage end must be after start");
-      const Target t = parse_target(clause, arg);
-      if (t.is_key) {
-        plan.crash_key_at(from, t.id).recover_key_at(to, t.id);
-      } else {
-        plan.outage(t.id, from, to - from);
-      }
-      continue;
-    }
-    if (kind == "fsyncloss" && time_text.find('-') != std::string::npos) {
-      // fsyncloss:N@T1-T2 — window sugar, desugared to the open/close pair
-      // (serialize() emits the pair, so sugar round-trips via the pair form).
-      auto dash = time_text.find('-');
-      double from = parse_number(clause, time_text.substr(0, dash));
-      double to = parse_number(clause, time_text.substr(dash + 1));
-      if (to <= from) parse_fail(clause, "window end must be after start");
-      const Target t = parse_target(clause, arg);
-      if (t.is_key) {
-        plan.fsync_loss_key_at(from, t.id).clear_fsync_loss_key_at(to, t.id);
-      } else {
-        plan.fsync_loss_at(from, t.id).clear_fsync_loss_at(to, t.id);
-      }
-      continue;
-    }
-    const double at = parse_number(clause, time_text);
-    if (kind == "heal") {
-      plan.heal_at(at);
-    } else if (kind == "crash") {
-      const Target t = parse_target(clause, arg);
-      t.is_key ? plan.crash_key_at(at, t.id) : plan.crash_at(at, t.id);
-    } else if (kind == "recover") {
-      const Target t = parse_target(clause, arg);
-      t.is_key ? plan.recover_key_at(at, t.id) : plan.recover_at(at, t.id);
-    } else if (kind == "slow") {
-      auto star = arg.find('*');
-      if (star == std::string::npos) parse_fail(clause, "slow needs 'N*F'");
-      const Target t = parse_target(clause, arg.substr(0, star));
-      const double factor = parse_number(clause, arg.substr(star + 1));
-      t.is_key ? plan.slow_key_at(at, t.id, factor)
-               : plan.slow_at(at, t.id, factor);
-    } else if (kind == "noslow") {
-      const Target t = parse_target(clause, arg);
-      t.is_key ? plan.clear_slow_key_at(at, t.id)
-               : plan.clear_slow_at(at, t.id);
-    } else if (kind == "tornwrite") {
-      const Target t = parse_target(clause, arg);
-      t.is_key ? plan.torn_write_key_at(at, t.id)
-               : plan.torn_write_at(at, t.id);
-    } else if (kind == "fsyncloss") {
-      const Target t = parse_target(clause, arg);
-      t.is_key ? plan.fsync_loss_key_at(at, t.id)
-               : plan.fsync_loss_at(at, t.id);
-    } else if (kind == "nofsyncloss") {
-      const Target t = parse_target(clause, arg);
-      t.is_key ? plan.clear_fsync_loss_key_at(at, t.id)
-               : plan.clear_fsync_loss_at(at, t.id);
-    } else if (kind == "partition") {
-      std::vector<std::vector<NodeId>> groups;
-      std::vector<std::vector<KeyId>> group_keys;
-      bool any_keys = false;
-      std::istringstream gin(arg);
-      std::string group;
-      while (std::getline(gin, group, '|')) {
-        std::vector<NodeId> nodes;
-        std::vector<KeyId> keys;
-        parse_group(clause, group, nodes, keys);
-        any_keys = any_keys || !keys.empty();
-        groups.push_back(std::move(nodes));
-        group_keys.push_back(std::move(keys));
-      }
-      plan.partition_at(at, std::move(groups));
-      if (any_keys) plan.events_.back().group_keys = std::move(group_keys);
-    } else {
-      parse_fail(clause, "unknown event kind");
-    }
-  }
+    if (at == std::string_view::npos) parse_fail(clause, "missing '@time'");
+    parse_timed(clause, clause.substr(0, at), clause.substr(at + 1), plan);
+  });
   plan.with_message_faults(message);
   return plan;
 }
@@ -413,73 +497,15 @@ std::string FaultPlan::serialize() const {
     if (!out.empty()) out += ';';
     out += text;
   };
-  for (const Event& ev : events_) {
-    const std::string at = util::format_double(ev.at);
-    // Key-addressed targets serialize with the `k` prefix of the parse()
-    // grammar.
-    const std::string target =
-        (ev.node_is_key ? "k" : "") + std::to_string(ev.node);
-    switch (ev.kind) {
-      case FaultKind::kCrash:
-        clause("crash:" + target + "@" + at);
-        break;
-      case FaultKind::kRecover:
-        clause("recover:" + target + "@" + at);
-        break;
-      case FaultKind::kSlow:
-        clause("slow:" + target + "*" + util::format_double(ev.factor) + "@" +
-               at);
-        break;
-      case FaultKind::kClearSlow:
-        clause("noslow:" + target + "@" + at);
-        break;
-      case FaultKind::kPartition: {
-        std::string groups;
-        for (std::size_t g = 0; g < ev.groups.size(); ++g) {
-          if (g > 0) groups += '|';
-          std::string sep;
-          for (const NodeId n : ev.groups[g]) {
-            groups += sep + std::to_string(n);
-            sep = ",";
-          }
-          if (g < ev.group_keys.size()) {
-            for (const KeyId k : ev.group_keys[g]) {
-              groups += sep + "k" + std::to_string(k);
-              sep = ",";
-            }
-          }
-        }
-        clause("partition:" + groups + "@" + at);
-        break;
-      }
-      case FaultKind::kHeal:
-        clause("heal@" + at);
-        break;
-      case FaultKind::kTornWrite:
-        clause("tornwrite:" + target + "@" + at);
-        break;
-      case FaultKind::kFsyncLoss:
-        clause("fsyncloss:" + target + "@" + at);
-        break;
-      case FaultKind::kClearFsyncLoss:
-        clause("nofsyncloss:" + target + "@" + at);
-        break;
+  for (const Event& ev : events_) clause(clause_text(ev));
+  for (const Knob& knob : kKnobs) {
+    if (!(message_faults_.*knob.value > 0.0)) continue;
+    std::string text = std::string(knob.name) + "=" +
+                       util::format_double(message_faults_.*knob.value);
+    if (knob.second != nullptr) {
+      text += ":" + util::format_double(message_faults_.*knob.second);
     }
-  }
-  if (message_faults_.drop_probability > 0.0) {
-    clause("drop=" + util::format_double(message_faults_.drop_probability));
-  }
-  if (message_faults_.duplicate_probability > 0.0) {
-    clause("dup=" +
-           util::format_double(message_faults_.duplicate_probability));
-  }
-  if (message_faults_.extra_delay > 0.0) {
-    clause("delay=" + util::format_double(message_faults_.extra_delay));
-  }
-  if (message_faults_.reorder_probability > 0.0) {
-    clause("reorder=" +
-           util::format_double(message_faults_.reorder_probability) + ":" +
-           util::format_double(message_faults_.reorder_delay_max));
+    clause(text);
   }
   return out;
 }
@@ -487,8 +513,8 @@ std::string FaultPlan::serialize() const {
 FaultPlan FaultPlan::from_parts(std::vector<Event> events,
                                 const MessageFaults& faults) {
   FaultPlan plan;
-  plan.events_ = std::move(events);
-  plan.message_faults_ = normalized(faults);
+  for (Event& ev : events) plan.add(std::move(ev));
+  plan.with_message_faults(faults);
   return plan;
 }
 
@@ -497,17 +523,23 @@ void FaultPlan::mutate(std::size_t num_servers, sim::Time horizon,
                        bool durability) {
   PQRA_REQUIRE(num_servers > 0, "mutation needs at least one server");
   PQRA_REQUIRE(horizon > 0.0, "mutation needs a positive horizon");
-  const auto random_node = [&] {
-    return static_cast<NodeId>(rng.below(num_servers));
-  };
-  // Key-addressed target draw: only taken when the caller opened the
-  // keyspace (num_keys > 0), so pre-sharding seeds replay the exact same
-  // draw sequence.
-  const auto random_target = [&]() -> std::pair<std::uint32_t, bool> {
+  // A target-only event; the edit sets its kind and time.  The key draw is
+  // only taken when the caller opened the keyspace (num_keys > 0), so
+  // pre-sharding seeds replay the exact same draw sequence.
+  const auto random_target = [&] {
+    Event ev;
     if (num_keys > 0 && rng.bernoulli(0.3)) {
-      return {static_cast<std::uint32_t>(rng.below(num_keys)), true};
+      ev.node = static_cast<std::uint32_t>(rng.below(num_keys));
+      ev.node_is_key = true;
+    } else {
+      ev.node = static_cast<NodeId>(rng.below(num_servers));
     }
-    return {random_node(), false};
+    return ev;
+  };
+  const auto add_at = [&](Event ev, FaultKind kind, sim::Time at) {
+    ev.kind = kind;
+    ev.at = at;
+    add(std::move(ev));
   };
   const auto random_time = [&] { return rng.uniform01() * horizon; };
   // The durability edit is appended past the legacy range, so legacy calls
@@ -523,39 +555,30 @@ void FaultPlan::mutate(std::size_t num_servers, sim::Time horizon,
       const sim::Time duration = std::min(
           std::max(rng.exponential(horizon / 8.0), horizon * 0.01),
           horizon - from);
-      const auto [id, is_key] = random_target();
-      if (is_key) {
-        crash_key_at(from, id).recover_key_at(from + duration, id);
-      } else {
-        outage(id, from, duration);
-      }
+      const Event target = random_target();
+      add_at(target, FaultKind::kCrash, from);
+      add_at(target, FaultKind::kRecover, from + duration);
       break;
     }
     case 1: {  // lone crash (the run harness recovers everyone at horizon)
-      const auto [id, is_key] = random_target();
-      const sim::Time at = random_time();
-      is_key ? crash_key_at(at, id) : crash_at(at, id);
+      const Event target = random_target();
+      add_at(target, FaultKind::kCrash, random_time());
       break;
     }
     case 2: {
-      const auto [id, is_key] = random_target();
-      const sim::Time at = random_time();
-      is_key ? recover_key_at(at, id) : recover_at(at, id);
+      const Event target = random_target();
+      add_at(target, FaultKind::kRecover, random_time());
       break;
     }
     case 3: {  // slow window
-      const auto [id, is_key] = random_target();
+      Event target = random_target();
       const sim::Time from = rng.uniform01() * horizon * 0.9;
-      const double factor = 1.0 + rng.uniform01() * 9.0;
+      target.factor = 1.0 + rng.uniform01() * 9.0;
       const sim::Time until =
           std::min(from + rng.exponential(horizon / 8.0), horizon);
-      if (is_key) {
-        slow_key_at(from, id, factor);
-        clear_slow_key_at(until, id);
-      } else {
-        slow_at(from, id, factor);
-        clear_slow_at(until, id);
-      }
+      add_at(target, FaultKind::kSlow, from);
+      target.factor = 1.0;
+      add_at(target, FaultKind::kClearSlow, until);
       break;
     }
     case 4: {  // partition window over a random split of the servers
@@ -570,8 +593,11 @@ void FaultPlan::mutate(std::size_t num_servers, sim::Time horizon,
       groups[0].assign(nodes.begin(), nodes.begin() + cut);
       groups[1].assign(nodes.begin() + cut, nodes.end());
       const sim::Time from = rng.uniform01() * horizon * 0.9;
-      partition_at(from, std::move(groups));
-      heal_at(std::min(from + rng.exponential(horizon / 8.0), horizon));
+      add({.at = from,
+           .kind = FaultKind::kPartition,
+           .groups = std::move(groups)});
+      add({.at = std::min(from + rng.exponential(horizon / 8.0), horizon),
+           .kind = FaultKind::kHeal});
       break;
     }
     case 5:  // drop one event
@@ -612,21 +638,15 @@ void FaultPlan::mutate(std::size_t num_servers, sim::Time horizon,
       message_faults_ = normalized(message_faults_);
       break;
     case 8: {  // durability fault: torn sync or fsync-loss window
-      const auto [id, is_key] = random_target();
+      const Event target = random_target();
       if (rng.bernoulli(0.5)) {
-        const sim::Time at = random_time();
-        is_key ? torn_write_key_at(at, id) : torn_write_at(at, id);
+        add_at(target, FaultKind::kTornWrite, random_time());
       } else {
         const sim::Time from = rng.uniform01() * horizon * 0.9;
         const sim::Time until =
             std::min(from + rng.exponential(horizon / 8.0), horizon);
-        if (is_key) {
-          fsync_loss_key_at(from, id);
-          clear_fsync_loss_key_at(until, id);
-        } else {
-          fsync_loss_at(from, id);
-          clear_fsync_loss_at(until, id);
-        }
+        add_at(target, FaultKind::kFsyncLoss, from);
+        add_at(target, FaultKind::kClearFsyncLoss, until);
       }
       break;
     }
@@ -635,41 +655,11 @@ void FaultPlan::mutate(std::size_t num_servers, sim::Time horizon,
 
 void FaultPlan::install(sim::Simulator& simulator,
                         FaultInjector& injector) const {
-  PQRA_REQUIRE(!has_key_targets(),
-               "plan has key-addressed targets: call resolve_keys() first");
+  check_targets(injector.num_nodes());
   if (message_faults_.any()) injector.set_message_faults(message_faults_);
   for (const Event& ev : events_) {
-    simulator.schedule_at(ev.at, sim::EventTag::kFault, [&injector, ev] {
-      switch (ev.kind) {
-        case FaultKind::kCrash:
-          injector.crash(ev.node);
-          break;
-        case FaultKind::kRecover:
-          injector.recover(ev.node);
-          break;
-        case FaultKind::kSlow:
-          injector.set_slow(ev.node, ev.factor);
-          break;
-        case FaultKind::kClearSlow:
-          injector.clear_slow(ev.node);
-          break;
-        case FaultKind::kPartition:
-          injector.partition(ev.groups);
-          break;
-        case FaultKind::kHeal:
-          injector.heal();
-          break;
-        case FaultKind::kTornWrite:
-          injector.arm_torn_write(ev.node);
-          break;
-        case FaultKind::kFsyncLoss:
-          injector.set_fsync_loss(ev.node, true);
-          break;
-        case FaultKind::kClearFsyncLoss:
-          injector.set_fsync_loss(ev.node, false);
-          break;
-      }
-    });
+    simulator.schedule_at(ev.at, sim::EventTag::kFault,
+                          [&injector, ev] { apply(ev, injector); });
   }
 }
 
@@ -683,9 +673,9 @@ LiveFaultDriver::LiveFaultDriver(const FaultPlan& plan,
                                  double seconds_per_time_unit)
     : transport_(transport) {
   PQRA_REQUIRE(seconds_per_time_unit > 0.0, "time scale must be positive");
-  PQRA_REQUIRE(!plan.has_key_targets(),
-               "live driver replays resolved plans: call resolve_keys() "
-               "before handing a key-addressed plan to the threaded runtime");
+  transport.with_faults([&plan](FaultInjector& faults) {
+    plan.check_targets(faults.num_nodes());
+  });
   thread_ = std::thread([this, plan, seconds_per_time_unit] {
     run(plan, seconds_per_time_unit);
   });
@@ -710,7 +700,9 @@ void LiveFaultDriver::run(FaultPlan plan, double scale) {
     MessageFaults scaled = plan.message_faults();
     scaled.extra_delay *= scale;
     scaled.reorder_delay_max *= scale;
-    transport_.set_message_faults(scaled);
+    transport_.with_faults([&scaled](FaultInjector& faults) {
+      faults.set_message_faults(scaled);
+    });
   }
 
   std::vector<FaultPlan::Event> events = plan.events();
@@ -727,33 +719,7 @@ void LiveFaultDriver::run(FaultPlan plan, double scale) {
       std::unique_lock lock(mutex_);
       if (cv_.wait_until(lock, due, [this] { return stopped_; })) return;
     }
-    switch (ev.kind) {
-      case FaultKind::kCrash:
-        transport_.crash(ev.node);
-        break;
-      case FaultKind::kRecover:
-        transport_.recover(ev.node);
-        break;
-      case FaultKind::kSlow:
-        transport_.set_slow(ev.node, ev.factor);
-        break;
-      case FaultKind::kClearSlow:
-        transport_.clear_slow(ev.node);
-        break;
-      case FaultKind::kPartition:
-        transport_.partition(ev.groups);
-        break;
-      case FaultKind::kHeal:
-        transport_.heal();
-        break;
-      case FaultKind::kTornWrite:
-      case FaultKind::kFsyncLoss:
-      case FaultKind::kClearFsyncLoss:
-        // Durability faults target MemDisk-backed replicas, which only exist
-        // on the DES; the threaded runtime's FileBackend does real I/O and
-        // has no injection point, so these verbs are no-ops here.
-        break;
-    }
+    transport_.with_faults([&ev](FaultInjector& faults) { apply(ev, faults); });
   }
 }
 

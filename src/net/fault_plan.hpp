@@ -39,8 +39,6 @@ enum class FaultKind : std::uint8_t {
   kClearFsyncLoss,  ///< close the node's fsync-loss window
 };
 
-const char* fault_kind_name(FaultKind kind);
-
 class FaultPlan {
  public:
   struct Event {
@@ -52,33 +50,23 @@ class FaultPlan {
     /// before the plan can be installed.  Grammar form `crash:k12@10`.
     bool node_is_key = false;
     double factor = 1.0;  ///< slow only
-    std::vector<std::vector<NodeId>> groups;  ///< partition only
+    std::vector<std::vector<NodeId>> groups{};  ///< partition only
     /// Key-addressed partition members, parallel to `groups` when any are
     /// present (same group count): resolve_keys() folds each group's key
     /// primaries into the node group.  Grammar form `partition:0-2,k7|3@9`.
-    std::vector<std::vector<KeyId>> group_keys;
+    std::vector<std::vector<KeyId>> group_keys{};
 
-    friend bool operator==(const Event& a, const Event& b) {
-      return a.at == b.at && a.kind == b.kind && a.node == b.node &&
-             a.node_is_key == b.node_is_key && a.factor == b.factor &&
-             a.groups == b.groups && a.group_keys == b.group_keys;
-    }
-    friend bool operator!=(const Event& a, const Event& b) {
-      return !(a == b);
-    }
+    friend bool operator==(const Event&, const Event&) = default;
   };
 
-  FaultPlan& crash_at(sim::Time at, NodeId node);
-  FaultPlan& recover_at(sim::Time at, NodeId node);
-
-  /// Key-addressed variants (docs/SHARDING.md): the event targets whatever
-  /// node is the key's primary replica at resolve_keys() time, so one plan
-  /// applies uniformly to any cluster shape — "crash the server holding the
-  /// hot key" instead of a hard-coded process id.
-  FaultPlan& crash_key_at(sim::Time at, KeyId key);
-  FaultPlan& recover_key_at(sim::Time at, KeyId key);
-  FaultPlan& slow_key_at(sim::Time at, KeyId key, double factor);
-  FaultPlan& clear_slow_key_at(sim::Time at, KeyId key);
+  /// Appends \p event (the plan's one way to add an event).  Throws
+  /// std::logic_error unless `at` is finite and >= 0, a slow factor is
+  /// finite and >= 1, and a partition has at least two non-empty groups
+  /// with no node in two places.  Key-addressed forms set
+  /// Event::node_is_key (docs/SHARDING.md): the event then targets whatever
+  /// node is the key's primary replica at resolve_keys() time — "crash the
+  /// server holding the hot key" instead of a hard-coded process id.
+  FaultPlan& add(Event event);
 
   /// True if any event carries a key-addressed target (node or partition
   /// member); such a plan must go through resolve_keys() before install().
@@ -95,29 +83,6 @@ class FaultPlan {
 
   /// Crash + recover pair: node is down during [from, from + duration).
   FaultPlan& outage(NodeId node, sim::Time from, sim::Time duration);
-
-  /// Node is slow (delay factor \p factor >= 1) during [from, from+duration),
-  /// or from \p from onwards when duration is 0.
-  FaultPlan& slow_at(sim::Time at, NodeId node, double factor);
-  FaultPlan& clear_slow_at(sim::Time at, NodeId node);
-
-  /// Durability faults (docs/DURABILITY.md).  torn_write_at arms a one-shot
-  /// torn sync: the node's next WAL sync persists only a random prefix of
-  /// its final record.  fsync_loss_at opens a window in which every WAL
-  /// sync on the node is silently lost; clear_fsync_loss_at closes it
-  /// (grammar sugar `fsyncloss:N@T1-T2` emits the pair).
-  FaultPlan& torn_write_at(sim::Time at, NodeId node);
-  FaultPlan& torn_write_key_at(sim::Time at, KeyId key);
-  FaultPlan& fsync_loss_at(sim::Time at, NodeId node);
-  FaultPlan& fsync_loss_key_at(sim::Time at, KeyId key);
-  FaultPlan& clear_fsync_loss_at(sim::Time at, NodeId node);
-  FaultPlan& clear_fsync_loss_key_at(sim::Time at, KeyId key);
-
-  /// Partition the listed nodes into isolated groups at \p at; heal_at ends
-  /// it.  Unlisted nodes keep talking to everyone (see FaultInjector).
-  FaultPlan& partition_at(sim::Time at,
-                          std::vector<std::vector<NodeId>> groups);
-  FaultPlan& heal_at(sim::Time at);
 
   /// Message-level faults applied for the whole run (install time 0).
   FaultPlan& with_message_faults(const MessageFaults& faults);
@@ -146,8 +111,14 @@ class FaultPlan {
   /// "the node owning key KEY" (resolved via resolve_keys; key ranges are
   /// not supported).
   ///
+  /// Node and key ids are whole numbers that fit 32 bits (no sign,
+  /// fraction, exponent or hex); an `a-b` range spans at most 2^16 ids.
+  /// Times, delays and factors must be finite, times and delays >= 0,
+  /// probabilities in [0, 1]; every event must also pass add()'s checks.
+  ///
   /// e.g. "crash:2@10;recover:2@50;drop=0.02;reorder=0.1:3".
-  /// Throws std::logic_error (with the offending clause) on bad input.
+  /// Throws std::logic_error (`bad fault-plan clause '<clause>': ...`) on
+  /// bad input.
   static FaultPlan parse(const std::string& spec);
 
   /// Canonical text form in the parse() grammar: one clause per event in
@@ -177,9 +148,15 @@ class FaultPlan {
   void mutate(std::size_t num_servers, sim::Time horizon, util::Rng& rng,
               std::size_t num_keys = 0, bool durability = false);
 
-  /// Schedules every event on the simulator against \p injector, and applies
-  /// the message faults immediately.  Requires !has_key_targets(): key
-  /// addressing is a naming layer, resolved before install.
+  /// Throws std::logic_error naming the first clause that still holds a
+  /// key target (key addressing is a naming layer, resolved before
+  /// install), names a node id >= \p num_nodes, or fails add()'s checks
+  /// (resolve_keys can put one node in two partition groups).
+  void check_targets(std::size_t num_nodes) const;
+
+  /// Checks every target against \p injector (check_targets), applies the
+  /// message faults immediately, then schedules one kFault simulator event
+  /// per plan event, in plan order, that apply()s it.
   void install(sim::Simulator& simulator, FaultInjector& injector) const;
 
   /// Convenience: installs onto the transport's own injector.
@@ -188,12 +165,7 @@ class FaultPlan {
   const std::vector<Event>& events() const { return events_; }
   bool empty() const { return events_.empty() && !message_faults_.any(); }
 
-  friend bool operator==(const FaultPlan& a, const FaultPlan& b) {
-    return a.events_ == b.events_ && a.message_faults_ == b.message_faults_;
-  }
-  friend bool operator!=(const FaultPlan& a, const FaultPlan& b) {
-    return !(a == b);
-  }
+  friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 
   /// Largest number of servers in [0, num_servers) simultaneously down.
   std::size_t max_concurrent_down(std::size_t num_servers) const;
@@ -203,12 +175,19 @@ class FaultPlan {
   MessageFaults message_faults_;
 };
 
+/// Applies one plan event to \p injector: the single place a FaultKind
+/// becomes an injector call, shared by install() and LiveFaultDriver.
+void apply(const FaultPlan::Event& event, FaultInjector& injector);
+
 /// Replays a FaultPlan against a live ThreadTransport: a driver thread
-/// sleeps until each event's scaled wall-clock time and applies it through
-/// the transport's thread-safe fault wrappers.  Plan times (and message-
-/// fault delays) are multiplied by \p seconds_per_time_unit.  The driver
-/// starts in the constructor; stop() (or destruction) cancels any remaining
-/// events and joins.
+/// sleeps until each event's scaled wall-clock time and apply()s it under
+/// the transport's lock (ThreadTransport::with_faults).  Plan times (and
+/// message-fault delays) are multiplied by \p seconds_per_time_unit.  The
+/// constructor checks the plan's targets against the transport
+/// (FaultPlan::check_targets) and starts the driver; stop() (or
+/// destruction) cancels any remaining events and joins.  The durability
+/// verbs arm injector flags that only a MemDisk consumes, so on this
+/// runtime they change nothing observable.
 class LiveFaultDriver {
  public:
   LiveFaultDriver(const FaultPlan& plan, ThreadTransport& transport,

@@ -17,11 +17,7 @@ void FaultInjector::crash(NodeId node) {
   if (crashed_[node]) return;
   crashed_[node] = true;
   ++num_crashed_;
-  ++counters_.crashes;
-  if (instruments_.crashes != nullptr) {
-    instruments_.crashes->inc();
-    instruments_.injected->inc();
-  }
+  count(&FaultCounters::crashes, &Instruments::crashes);
 }
 
 void FaultInjector::recover(NodeId node) {
@@ -43,11 +39,7 @@ bool FaultInjector::consume_torn_write(NodeId node) {
   PQRA_REQUIRE(node < torn_armed_.size(), "node id out of range");
   if (!torn_armed_[node]) return false;
   torn_armed_[node] = false;
-  ++counters_.torn_writes;
-  if (instruments_.torn_writes != nullptr) {
-    instruments_.torn_writes->inc();
-    instruments_.injected->inc();
-  }
+  count(&FaultCounters::torn_writes, &Instruments::torn_writes);
   return true;
 }
 
@@ -59,11 +51,7 @@ void FaultInjector::set_fsync_loss(NodeId node, bool lost) {
 bool FaultInjector::consume_fsync_loss(NodeId node) {
   PQRA_REQUIRE(node < fsync_loss_.size(), "node id out of range");
   if (!fsync_loss_[node]) return false;
-  ++counters_.fsync_losses;
-  if (instruments_.fsync_losses != nullptr) {
-    instruments_.fsync_losses->inc();
-    instruments_.injected->inc();
-  }
+  count(&FaultCounters::fsync_losses, &Instruments::fsync_losses);
   return true;
 }
 
@@ -114,40 +102,36 @@ bool FaultInjector::partitioned(NodeId a, NodeId b) const {
          group_[a] != group_[b];
 }
 
-void FaultInjector::count_drop(std::uint64_t FaultCounters::*slot) {
+void FaultInjector::count(std::uint64_t FaultCounters::*slot,
+                          obs::Counter* Instruments::*instrument) {
   ++(counters_.*slot);
-  if (instruments_.msg_dropped != nullptr) {
-    instruments_.msg_dropped->inc();
-    instruments_.injected->inc();
-  }
+  if (instruments_.injected == nullptr) return;
+  (instruments_.*instrument)->inc();
+  instruments_.injected->inc();
 }
 
 FaultDecision FaultInjector::on_send(NodeId from, NodeId to, util::Rng& rng) {
   FaultDecision d;
   if (crashed_[from] || crashed_[to]) {
     d.drop = true;
-    count_drop(&FaultCounters::crash_drops);
+    count(&FaultCounters::crash_drops, &Instruments::msg_dropped);
     return d;
   }
   if (partitioned_ && partitioned(from, to)) {
     d.drop = true;
-    count_drop(&FaultCounters::partition_drops);
+    count(&FaultCounters::partition_drops, &Instruments::msg_dropped);
     return d;
   }
   if (message_.drop_probability > 0.0 &&
       rng.bernoulli(message_.drop_probability)) {
     d.drop = true;
-    count_drop(&FaultCounters::random_drops);
+    count(&FaultCounters::random_drops, &Instruments::msg_dropped);
     return d;
   }
   if (message_.duplicate_probability > 0.0 &&
       rng.bernoulli(message_.duplicate_probability)) {
     d.duplicate = true;
-    ++counters_.duplicates;
-    if (instruments_.msg_duplicated != nullptr) {
-      instruments_.msg_duplicated->inc();
-      instruments_.injected->inc();
-    }
+    count(&FaultCounters::duplicates, &Instruments::msg_duplicated);
   }
   d.delay_factor = slow_[from] * slow_[to];
   d.extra_delay = message_.extra_delay * d.delay_factor;
@@ -156,11 +140,7 @@ FaultDecision FaultInjector::on_send(NodeId from, NodeId to, util::Rng& rng) {
     d.extra_delay += rng.uniform01() * message_.reorder_delay_max;
   }
   if (d.extra_delay > 0.0 || d.delay_factor != 1.0) {
-    ++counters_.delayed;
-    if (instruments_.msg_delayed != nullptr) {
-      instruments_.msg_delayed->inc();
-      instruments_.injected->inc();
-    }
+    count(&FaultCounters::delayed, &Instruments::msg_delayed);
   }
   return d;
 }

@@ -107,6 +107,9 @@ class FaultInjector {
  public:
   explicit FaultInjector(NodeId max_nodes);
 
+  /// Node ids run over [0, num_nodes()).
+  std::size_t num_nodes() const { return crashed_.size(); }
+
   // -- node-level faults ----------------------------------------------------
 
   /// Crashed nodes silently lose all traffic to and from them.  Idempotent.
@@ -151,7 +154,6 @@ class FaultInjector {
   // -- message-level faults -------------------------------------------------
 
   void set_message_faults(const MessageFaults& faults) { message_ = faults; }
-  const MessageFaults& message_faults() const { return message_; }
 
   /// Renders the decision for one message.  Draws from \p rng only for fault
   /// types that are enabled (see file comment).
@@ -175,7 +177,10 @@ class FaultInjector {
     obs::Counter* fsync_losses = nullptr;
   };
 
-  void count_drop(std::uint64_t FaultCounters::*slot);
+  /// Counts one injected fault in \p slot and, once bind_metrics ran, in
+  /// \p instrument and the all-kinds total.
+  void count(std::uint64_t FaultCounters::*slot,
+             obs::Counter* Instruments::*instrument);
 
   std::vector<bool> crashed_;
   std::vector<bool> torn_armed_;

@@ -306,11 +306,4 @@ void SimTransport::bind_metrics(obs::Registry& registry) {
   metrics_.emplace(registry);
 }
 
-void SimTransport::set_drop_probability(double p) {
-  PQRA_REQUIRE(p >= 0.0 && p < 1.0, "drop probability must be in [0, 1)");
-  MessageFaults faults = faults_.message_faults();
-  faults.drop_probability = p;
-  faults_.set_message_faults(faults);
-}
-
 }  // namespace pqra::net

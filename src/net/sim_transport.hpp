@@ -43,19 +43,11 @@ class SimTransport final : public Transport {
   void register_receiver(NodeId node, Receiver* receiver) override;
   MessageStats stats() const override;
 
-  /// Full fault state of this network (crash/partition/slow/message faults).
-  /// Fault draws share the transport's RNG stream, but only happen for fault
-  /// types that are enabled, so fault-free runs replay unchanged.
+  /// Full fault state of this network (crash/partition/slow/message faults)
+  /// — the one way to read or change it on the DES.  Fault draws share the
+  /// transport's RNG stream, but only happen for fault types that are
+  /// enabled, so fault-free runs replay unchanged.
   FaultInjector& faults() { return faults_; }
-  const FaultInjector& faults() const { return faults_; }
-
-  // Convenience wrappers kept for existing call sites.
-  void crash(NodeId node) { faults_.crash(node); }
-  void recover(NodeId node) { faults_.recover(node); }
-  bool is_crashed(NodeId node) const { return faults_.is_crashed(node); }
-
-  /// Independently drops each message with probability \p p (default 0).
-  void set_drop_probability(double p);
 
   /// Routes message/drop/byte counts into \p registry (obs/names.hpp names)
   /// in addition to the legacy MessageStats snapshot.  Counting does not

@@ -146,64 +146,12 @@ MessageStats ThreadTransport::stats() const {
   return stats_;
 }
 
-void ThreadTransport::crash(NodeId node) {
-  std::lock_guard lock(stats_mutex_);
-  faults_.crash(node);
-}
-
-void ThreadTransport::recover(NodeId node) {
-  std::lock_guard lock(stats_mutex_);
-  faults_.recover(node);
-}
-
-bool ThreadTransport::is_crashed(NodeId node) const {
-  std::lock_guard lock(stats_mutex_);
-  return faults_.is_crashed(node);
-}
-
-void ThreadTransport::set_slow(NodeId node, double factor) {
-  std::lock_guard lock(stats_mutex_);
-  faults_.set_slow(node, factor);
-}
-
-void ThreadTransport::clear_slow(NodeId node) {
-  std::lock_guard lock(stats_mutex_);
-  faults_.clear_slow(node);
-}
-
-void ThreadTransport::partition(
-    const std::vector<std::vector<NodeId>>& groups) {
-  std::lock_guard lock(stats_mutex_);
-  faults_.partition(groups);
-}
-
-void ThreadTransport::heal() {
-  std::lock_guard lock(stats_mutex_);
-  faults_.heal();
-}
-
-void ThreadTransport::set_message_faults(const MessageFaults& faults) {
-  std::lock_guard lock(stats_mutex_);
-  faults_.set_message_faults(faults);
-}
-
-FaultCounters ThreadTransport::fault_counters() const {
-  std::lock_guard lock(stats_mutex_);
-  return faults_.counters();
-}
-
-void ThreadTransport::bind_fault_metrics(obs::Registry& registry) {
-  PQRA_REQUIRE(registry.mode() == obs::Concurrency::kThreadSafe,
-               "ThreadTransport needs a thread-safe registry");
-  std::lock_guard lock(stats_mutex_);
-  faults_.bind_metrics(registry);
-}
-
 void ThreadTransport::bind_metrics(obs::Registry& registry) {
   PQRA_REQUIRE(registry.mode() == obs::Concurrency::kThreadSafe,
                "ThreadTransport needs a thread-safe registry");
   std::lock_guard lock(stats_mutex_);
   metrics_.emplace(registry);
+  faults_.bind_metrics(registry);
 }
 
 void ThreadTransport::bind_flight_recorder(obs::FlightRecorder* recorder) {

@@ -13,8 +13,9 @@
 /// consulted on every send under the transport mutex.  Dropped messages
 /// vanish; delayed messages are enqueued with a wall-clock ready time and
 /// withheld from recv() until it passes.  All fault state is mutated through
-/// the locking wrappers below — typically by a LiveFaultDriver replaying a
-/// FaultPlan — so it is safe against concurrent senders.
+/// with_faults(), which holds the transport lock — typically by a
+/// LiveFaultDriver replaying a FaultPlan — so it is safe against concurrent
+/// senders.
 
 #include <chrono>
 #include <condition_variable>
@@ -22,6 +23,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "obs/flight_recorder.hpp"
@@ -67,32 +69,23 @@ class ThreadTransport {
 
   MessageStats stats() const;
 
-  // -- fault injection (all thread-safe wrappers over the owned injector) ---
+  // -- fault injection ------------------------------------------------------
 
-  /// Crashed nodes silently lose all traffic to and from them.
-  void crash(NodeId node);
-  void recover(NodeId node);
-  bool is_crashed(NodeId node) const;
-
-  /// Delay scaling for \p node; with no base delay model, slow factors only
-  /// take effect by scaling MessageFaults::extra_delay (seconds).
-  void set_slow(NodeId node, double factor);
-  void clear_slow(NodeId node);
-
-  /// Partition/heal, same semantics as FaultInjector.
-  void partition(const std::vector<std::vector<NodeId>>& groups);
-  void heal();
-
-  /// Message-level faults; delays are in seconds on this runtime.
-  void set_message_faults(const MessageFaults& faults);
-
-  FaultCounters fault_counters() const;
-
-  /// Reports injected faults into \p registry (must be thread-safe).
-  void bind_fault_metrics(obs::Registry& registry);
+  /// Runs \p fn on the owned FaultInjector under the transport lock and
+  /// returns its result by value: the one way to read or change fault state
+  /// on this runtime (LiveFaultDriver applies plan events through it; e.g.
+  /// `with_faults([](FaultInjector& f) { return f.counters(); })`).
+  /// Message-fault delays are in seconds here; with no base delay model,
+  /// slow factors only take effect by scaling MessageFaults::extra_delay.
+  template <typename Fn>
+  auto with_faults(Fn&& fn) {
+    std::lock_guard lock(stats_mutex_);
+    return std::forward<Fn>(fn)(faults_);
+  }
 
   /// Routes message/drop/byte counts into \p registry in addition to the
-  /// legacy MessageStats snapshot.  The registry must be thread-safe
+  /// legacy MessageStats snapshot, and the injector's `pqra_faults_*`
+  /// counts too.  The registry must be thread-safe
   /// (Concurrency::kThreadSafe): increments happen on every sender thread.
   /// Bind before the first send.
   void bind_metrics(obs::Registry& registry);

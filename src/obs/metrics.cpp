@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <cmath>
-#include <limits>
 
 #include "util/check.hpp"
 
@@ -21,18 +20,7 @@ void Histogram::observe(double x) {
     bump(nans_);
     return;
   }
-  int exp = 0;
-  if (x > 0.0 && !std::isinf(x)) std::frexp(x, &exp);
-  std::size_t idx = 0;
-  if (std::isinf(x)) {
-    idx = kNumBuckets - 1;
-  } else if (x > 0.0) {
-    long shifted = static_cast<long>(exp) + kBias;
-    if (shifted < 0) shifted = 0;
-    if (shifted >= static_cast<long>(kNumBuckets)) shifted = kNumBuckets - 1;
-    idx = static_cast<std::size_t>(shifted);
-  }
-  bump(buckets_[idx]);
+  bump(buckets_[util::log2_bucket(x)]);
   bump(count_);
   if (atomic_) {
     double cur = sum_.load(std::memory_order_relaxed);
@@ -53,13 +41,6 @@ double Histogram::mean() const {
 std::uint64_t Histogram::bucket_count(std::size_t i) const {
   PQRA_REQUIRE(i < kNumBuckets, "histogram bucket index out of range");
   return buckets_[i].load(std::memory_order_relaxed);
-}
-
-double Histogram::bucket_upper_bound(std::size_t i) {
-  PQRA_REQUIRE(i < kNumBuckets, "histogram bucket index out of range");
-  if (i == kNumBuckets - 1) return std::numeric_limits<double>::infinity();
-  // Bucket i holds frexp exponents == i - kBias, i.e. x < 2^(i - kBias).
-  return std::ldexp(1.0, static_cast<int>(i) - kBias);
 }
 
 Registry::Entry& Registry::lookup(const std::string& name, Kind kind,

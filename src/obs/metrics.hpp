@@ -32,6 +32,8 @@
 #include <string>
 #include <vector>
 
+#include "util/stats.hpp"
+
 namespace pqra::obs {
 
 enum class Concurrency { kSingleThread, kThreadSafe };
@@ -105,18 +107,16 @@ class Gauge {
 
 /// Log-bucketed (base-2) histogram of non-negative samples.
 ///
-/// Bucket i holds samples x with 2^(i - kBias - 1) <= x < 2^(i - kBias)
-/// (frexp exponent = i - kBias); bucket 0 additionally absorbs everything
-/// below its range (including zero and negatives), the last bucket
-/// everything above.  NaN samples are dropped and tallied separately.  The
-/// layout is fixed, so two histograms merge bucket-wise and export needs no
-/// per-instrument configuration.
+/// The buckets are util::log2_bucket's fixed layout (util/stats.hpp):
+/// bucket i holds frexp exponent i - kBias, bucket 0 additionally absorbs
+/// everything below its range (including zero and negatives), the last
+/// bucket everything above.  NaN samples are dropped and tallied
+/// separately.  The layout is fixed, so two histograms merge bucket-wise
+/// and export needs no per-instrument configuration.
 class Histogram {
  public:
-  /// Buckets cover ~[2^-17, 2^46): sub-microsecond wall clocks up to ~weeks
-  /// of simulated time without saturating a boundary bucket.
-  static constexpr std::size_t kNumBuckets = 64;
-  static constexpr int kBias = 17;  // bucket 0 tops out at 2^-kBias
+  static constexpr std::size_t kNumBuckets = util::kLog2Buckets;
+  static constexpr int kBias = util::kLog2BucketBias;
 
   void observe(double x);
 
@@ -130,7 +130,9 @@ class Histogram {
   std::uint64_t bucket_count(std::size_t i) const;
   /// Inclusive upper bound of bucket \p i (Prometheus `le`); +inf for the
   /// last bucket.
-  static double bucket_upper_bound(std::size_t i);
+  static double bucket_upper_bound(std::size_t i) {
+    return util::log2_bucket_upper_bound(i);
+  }
 
  private:
   friend class Registry;

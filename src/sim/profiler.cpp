@@ -1,7 +1,6 @@
 #include "sim/profiler.hpp"
 
 #include <cmath>
-#include <limits>
 #include <ostream>
 
 #include "util/check.hpp"
@@ -32,24 +31,6 @@ const char* event_tag_name(EventTag tag) {
   return "";
 }
 
-std::size_t Profiler::bucket_index(double x) {
-  if (std::isnan(x)) return 0;
-  if (std::isinf(x)) return kNumBuckets - 1;
-  if (!(x > 0.0)) return 0;
-  int exp = 0;
-  std::frexp(x, &exp);
-  long shifted = static_cast<long>(exp) + kBias;
-  if (shifted < 0) shifted = 0;
-  if (shifted >= static_cast<long>(kNumBuckets)) shifted = kNumBuckets - 1;
-  return static_cast<std::size_t>(shifted);
-}
-
-double Profiler::bucket_upper_bound(std::size_t i) {
-  PQRA_REQUIRE(i < kNumBuckets, "profiler bucket index out of range");
-  if (i == kNumBuckets - 1) return std::numeric_limits<double>::infinity();
-  return std::ldexp(1.0, static_cast<int>(i) - kBias);
-}
-
 void Profiler::on_event(EventTag tag, std::uint64_t wall_ns,
                         double sim_advance) {
   TagStats& stats = per_tag_[static_cast<std::size_t>(tag)];
@@ -58,8 +39,8 @@ void Profiler::on_event(EventTag tag, std::uint64_t wall_ns,
   stats.sim_advance += sim_advance;
   ++fires_;
   wall_ns_ += wall_ns;
-  ++wall_buckets_[bucket_index(static_cast<double>(wall_ns))];
-  ++advance_buckets_[bucket_index(sim_advance)];
+  ++wall_buckets_[util::log2_bucket(static_cast<double>(wall_ns))];
+  ++advance_buckets_[util::log2_bucket(sim_advance)];
 }
 
 namespace {
@@ -72,7 +53,7 @@ void write_sparse_buckets(std::ostream& out, const std::uint64_t* buckets,
     if (buckets[i] == 0) continue;
     if (!first) out << ',';
     first = false;
-    double ub = Profiler::bucket_upper_bound(i);
+    const double ub = util::log2_bucket_upper_bound(i);
     out << "\"";
     if (std::isinf(ub)) {
       out << "+inf";
@@ -100,9 +81,9 @@ void Profiler::write_json(std::ostream& out) const {
         << util::format_double(stats.sim_advance) << " }";
   }
   out << "\n  },\n  \"wall_ns_per_fire\": ";
-  write_sparse_buckets(out, wall_buckets_, kNumBuckets);
+  write_sparse_buckets(out, wall_buckets_, util::kLog2Buckets);
   out << ",\n  \"sim_advance_per_fire\": ";
-  write_sparse_buckets(out, advance_buckets_, kNumBuckets);
+  write_sparse_buckets(out, advance_buckets_, util::kLog2Buckets);
   out << "\n}\n";
 }
 

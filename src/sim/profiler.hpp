@@ -17,17 +17,19 @@
 /// maintenance (sim/event_queue.hpp) happens outside the timed callback, so
 /// tag costs stay comparable across queue implementations.
 ///
-/// Layering: sim links only util, so this file reimplements the 64-bucket
-/// base-2 histogram layout of obs::Histogram (same kNumBuckets/kBias;
-/// tests/sim/profiler_test.cpp pins the equivalence) instead of using it.
-/// Wall times are inherently nondeterministic, so they are exported *only*
-/// through write_json (`experiment_cli --profile-out`) — never into the
-/// metrics registry, whose bytes the determinism tests compare.  The
-/// deterministic fire counts are published separately by the callers that
-/// own a registry (iter/alg1_des.cpp) under names::kProfileFires*.
+/// The two histograms use util::log2_bucket's layout, the same one
+/// obs::Histogram uses (sim links only util; tests/sim/profiler_test.cpp
+/// pins the equivalence).  Wall times are inherently nondeterministic, so
+/// they are exported *only* through write_json (`experiment_cli
+/// --profile-out`) — never into the metrics registry, whose bytes the
+/// determinism tests compare.  The deterministic fire counts are published
+/// separately by the callers that own a registry (iter/alg1_des.cpp) under
+/// names::kProfileFires*.
 
 #include <cstdint>
 #include <iosfwd>
+
+#include "util/stats.hpp"
 
 namespace pqra::sim {
 
@@ -48,11 +50,6 @@ const char* event_tag_name(EventTag tag);
 
 class Profiler {
  public:
-  /// Same layout as obs::Histogram: bucket i counts frexp exponents
-  /// i - kBias, covering ~[2^-17, 2^46).
-  static constexpr std::size_t kNumBuckets = 64;
-  static constexpr int kBias = 17;
-
   struct TagStats {
     std::uint64_t fires = 0;
     std::uint64_t wall_ns = 0;     ///< total callback wall time
@@ -69,14 +66,11 @@ class Profiler {
   std::uint64_t total_fires() const { return fires_; }
   std::uint64_t total_wall_ns() const { return wall_ns_; }
 
+  /// Fire counts per util::log2_bucket bucket \p i.
   std::uint64_t wall_bucket(std::size_t i) const { return wall_buckets_[i]; }
   std::uint64_t advance_bucket(std::size_t i) const {
     return advance_buckets_[i];
   }
-
-  /// Inclusive upper bound of bucket \p i (+inf for the last) — numerically
-  /// identical to obs::Histogram::bucket_upper_bound.
-  static double bucket_upper_bound(std::size_t i);
 
   /// One JSON object: totals, per-tag attribution, and the two sparse
   /// histograms (wall ns per fire; simulated-time advance per fire).
@@ -85,13 +79,11 @@ class Profiler {
   void write_json(std::ostream& out) const;
 
  private:
-  static std::size_t bucket_index(double x);
-
   TagStats per_tag_[kNumEventTags] = {};
   std::uint64_t fires_ = 0;
   std::uint64_t wall_ns_ = 0;
-  std::uint64_t wall_buckets_[kNumBuckets] = {};
-  std::uint64_t advance_buckets_[kNumBuckets] = {};
+  std::uint64_t wall_buckets_[util::kLog2Buckets] = {};
+  std::uint64_t advance_buckets_[util::kLog2Buckets] = {};
 };
 
 }  // namespace pqra::sim

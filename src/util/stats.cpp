@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -66,6 +67,12 @@ Summary summarize(const std::vector<double>& samples) {
   s.max = acc.max();
   s.median = percentile(samples, 50.0);
   return s;
+}
+
+double log2_bucket_upper_bound(std::size_t i) {
+  PQRA_REQUIRE(i < kLog2Buckets, "log2 bucket index out of range");
+  if (i == kLog2Buckets - 1) return std::numeric_limits<double>::infinity();
+  return std::ldexp(1.0, static_cast<int>(i) - kLog2BucketBias);
 }
 
 double percentile(std::vector<double> samples, double p) {

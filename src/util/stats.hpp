@@ -3,6 +3,8 @@
 /// \file stats.hpp
 /// Streaming and batch statistics used by the experiment harnesses.
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -52,6 +54,32 @@ Summary summarize(const std::vector<double>& samples);
 /// p-th percentile (0 <= p <= 100) with linear interpolation; \p samples need
 /// not be sorted (a copy is sorted internally).
 double percentile(std::vector<double> samples, double p);
+
+/// The base-2 bucket layout shared by obs::Histogram and sim::Profiler, so
+/// their buckets line up one to one.  Bucket i holds samples x with
+/// 2^(i - kLog2BucketBias - 1) <= x < 2^(i - kLog2BucketBias) (frexp
+/// exponent i - kLog2BucketBias), covering ~[2^-17, 2^46): sub-microsecond
+/// wall clocks up to ~weeks of simulated time without saturating a boundary
+/// bucket.  Bucket 0 also absorbs everything below its range (zero,
+/// negatives, NaN), the last bucket everything above (and ±inf).
+inline constexpr std::size_t kLog2Buckets = 64;
+inline constexpr int kLog2BucketBias = 17;  // bucket 0 tops out at 2^-17
+
+/// Index of the log2 bucket holding \p x.  Inline: it runs once per
+/// histogram sample and twice per profiled simulator event.
+inline std::size_t log2_bucket(double x) {
+  if (std::isinf(x)) return kLog2Buckets - 1;
+  if (!(x > 0.0)) return 0;
+  int exp = 0;
+  std::frexp(x, &exp);
+  return static_cast<std::size_t>(
+      std::clamp(long{exp} + kLog2BucketBias, 0L,
+                 static_cast<long>(kLog2Buckets) - 1));
+}
+
+/// Inclusive upper bound of log2 bucket \p i (Prometheus `le`); +inf for
+/// the last bucket.
+double log2_bucket_upper_bound(std::size_t i);
 
 /// Fixed-width histogram over [lo, hi); samples outside (including ±inf)
 /// are clamped into the boundary bins.  NaN samples are not binned — they

@@ -1,6 +1,7 @@
 # Usage-error check (driven by the cli_bad_args ctest entry): experiment_cli
 # must exit 2 on input the selected app does not understand, naming the
-# offending key, before any run starts — so no output file is written.
+# offending key (or fault-plan clause), before any run starts — so no output
+# file is written.
 #
 # Inputs: -DCLI=<path to experiment_cli> -DWORK_DIR=<scratch directory>
 
@@ -36,6 +37,36 @@ expect_usage_error(negative_runs runs app=apsp size=8 runs=-1)
 expect_usage_error(store_not_a_number theta app=store theta=0.8x)
 expect_usage_error(avail_unknown_key trace-out app=avail
                    "trace-out=${WORK_DIR}/trace.jsonl")
+
+# Values an app used to replace silently.
+expect_usage_error(unknown_graph graph app=apsp size=8 graph=foo)
+expect_usage_error(avail_unknown_recovery recovery app=avail recovery=bogus)
+expect_usage_error(avail_churn_too_big churn app=avail churn=1.5)
+expect_usage_error(avail_churn_zero churn app=avail churn=0)
+expect_usage_error(store_churn_too_big churn app=store keys=100 churn=1.5)
+expect_usage_error(apsp_churn_preset churn app=apsp size=8 churn=1)
+expect_usage_error(apsp_churn_negative churn app=apsp size=8 churn=-0.5)
+
+# Fault plans the run cannot parse or install, named by their clause (a
+# parse error quotes it as written; an uninstallable target quotes the
+# parsed event's canonical form, where 10 reads 1e+01).
+expect_usage_error(plan_garbage_reorder "reorder=0.5:-3"
+                   app=apsp size=6 "fault-plan=crash:1@5\;reorder=0.5:-3")
+expect_usage_error(plan_fractional_id "crash:1.5@10"
+                   app=apsp size=6 "fault-plan=crash:1.5@10")
+expect_usage_error(plan_node_out_of_range "crash:99@"
+                   app=apsp size=6 "fault-plan=crash:99@10")
+expect_usage_error(plan_partition_out_of_range "partition:0|20,21@"
+                   app=apsp size=6 "fault-plan=partition:0|20,21@5")
+expect_usage_error(plan_key_target_outside_store "crash:k1@"
+                   app=apsp size=6 "fault-plan=crash:k1@10")
+expect_usage_error(store_plan_node_out_of_range "crash:99@"
+                   app=store keys=100 servers=4 clients=2
+                   "fault-plan=crash:99@10")
+# Key 5's primary on this ring is node 0, already in the other group.
+expect_usage_error(store_plan_key_in_two_groups "partition:0|0@"
+                   app=store keys=100 servers=4 clients=2
+                   "fault-plan=partition:0|k5@5")
 
 file(GLOB written "${WORK_DIR}/*")
 if(written)

@@ -146,7 +146,9 @@ TEST(BlockingRegisterTest, TimesOutInsteadOfBlockingOnACrashedQuorum) {
   // nullopt with last_status() == kTimedOut.
   quorum::ProbabilisticQuorums qs(4, 2);
   ThreadedCluster cluster(4, 1, /*preload_registers=*/1);
-  for (net::NodeId s = 0; s < 4; ++s) cluster.transport.crash(s);
+  cluster.transport.with_faults([](net::FaultInjector& faults) {
+    for (net::NodeId s = 0; s < 4; ++s) faults.crash(s);
+  });
 
   RetryPolicy retry;
   retry.rpc_timeout = 0.01;
@@ -165,7 +167,8 @@ TEST(BlockingRegisterTest, TimesOutInsteadOfBlockingOnACrashedQuorum) {
 TEST(BlockingRegisterTest, RetriesThroughATransientCrash) {
   quorum::ProbabilisticQuorums qs(3, 3);
   ThreadedCluster cluster(3, 1, /*preload_registers=*/1);
-  cluster.transport.crash(0);
+  cluster.transport.with_faults(
+      [](net::FaultInjector& faults) { faults.crash(0); });
 
   RetryPolicy retry;
   retry.rpc_timeout = 0.02;
@@ -175,7 +178,8 @@ TEST(BlockingRegisterTest, RetriesThroughATransientCrash) {
                                 retry);
   std::thread healer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    cluster.transport.recover(0);
+    cluster.transport.with_faults(
+        [](net::FaultInjector& faults) { faults.recover(0); });
   });
   // No deadline: the read keeps retrying and completes once node 0 is back.
   auto r = client.read(0);
@@ -191,7 +195,9 @@ TEST(BlockingRegisterTest, DegradedReadReportsPartialAccessSet) {
   // with however many acks accumulated and a nonzero staleness bound.
   quorum::ProbabilisticQuorums qs(4, 3);
   ThreadedCluster cluster(4, 1, /*preload_registers=*/1);
-  for (net::NodeId s = 1; s < 4; ++s) cluster.transport.crash(s);
+  cluster.transport.with_faults([](net::FaultInjector& faults) {
+    for (net::NodeId s = 1; s < 4; ++s) faults.crash(s);
+  });
 
   RetryPolicy retry;
   retry.rpc_timeout = 0.02;

@@ -128,7 +128,7 @@ TEST(ByzantineTest, MaskingReadRetriesPastACrashedHonestReplica) {
   ClientOptions options;
   options.retry = RetryPolicy::fixed(5.0);
   ByzCluster c(10, 1, ByzantineMode::kFabricateHighTs, 1, qs, 21, options);
-  c.transport.crash(9);
+  c.transport.faults().crash(9);
   int reads = 0;
   int fabricated = 0;
   std::function<void(int)> loop = [&](int remaining) {

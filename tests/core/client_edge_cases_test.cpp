@@ -205,7 +205,7 @@ TEST(ClientDeadlineTest, ReadFailsOutrightWhenNoServerAnswers) {
   options.retry.rpc_timeout = 2.0;
   options.retry.deadline = 10.0;
   FaultableCluster c(5, 3, options);
-  for (net::NodeId s = 0; s < 5; ++s) c.transport.crash(s);
+  for (net::NodeId s = 0; s < 5; ++s) c.transport.faults().crash(s);
 
   bool called = false;
   c.client->read(0, [&](ReadResult r) {
@@ -228,7 +228,8 @@ TEST(ClientDeadlineTest, DegradedReadReportsStalenessBound) {
   options.retry.degraded_ok = true;
   options.retry.min_degraded_acks = 1;
   FaultableCluster c(5, 3, options);
-  for (net::NodeId s = 1; s < 5; ++s) c.transport.crash(s);  // only 0 lives
+  // Only 0 lives.
+  for (net::NodeId s = 1; s < 5; ++s) c.transport.faults().crash(s);
 
   bool called = false;
   c.client->read(0, [&](ReadResult r) {
@@ -253,7 +254,8 @@ TEST(ClientDeadlineTest, DegradedWriteReportsEffectiveAccessSet) {
   options.retry.deadline = 30.0;
   options.retry.degraded_ok = true;
   FaultableCluster c(5, 3, options);
-  for (net::NodeId s = 2; s < 5; ++s) c.transport.crash(s);  // 0 and 1 live
+  // 0 and 1 live.
+  for (net::NodeId s = 2; s < 5; ++s) c.transport.faults().crash(s);
 
   bool called = false;
   c.client->write(0, util::encode<std::int64_t>(9), [&](WriteResult w) {

@@ -136,8 +136,8 @@ TEST(MultiWriterTest, TaggedWritesRetryPastCrashedServers) {
   options.retry = RetryPolicy::fixed(4.0);
   MwCluster c(6, 1, qs, options, 5);
   QuorumRegisterClient& client = *c.clients[0];
-  c.transport.crash(0);
-  c.transport.crash(1);
+  c.transport.faults().crash(0);
+  c.transport.faults().crash(1);
   int done = 0;
   std::function<void(int)> chain = [&](int remaining) {
     if (remaining == 0) return;
@@ -165,7 +165,7 @@ TEST(MultiWriterTest, TaggedWriteStillQueryingAtTheDeadlineFails) {
   options.retry.deadline = 20.0;
   options.retry.degraded_ok = true;
   MwCluster c(5, 1, qs, options);
-  for (net::NodeId s = 2; s < 5; ++s) c.transport.crash(s);
+  for (net::NodeId s = 2; s < 5; ++s) c.transport.faults().crash(s);
   OpStatus plain = OpStatus::kOk;
   OpStatus tagged = OpStatus::kOk;
   c.clients[0]->write(0, util::encode<std::int64_t>(1),

@@ -222,7 +222,7 @@ TEST(RegisterDesTest, RetryRecoversFromCrashedServers) {
   Cluster c(10, 1, qs, options);
   // Crash 6 of 10 servers; 4 alive >= k = 3, so retries eventually find a
   // live quorum.
-  for (net::NodeId s = 0; s < 6; ++s) c.transport.crash(s);
+  for (net::NodeId s = 0; s < 6; ++s) c.transport.faults().crash(s);
   bool done = false;
   c.clients[0]->write(0, val(1), [&](Timestamp) {
     c.clients[0]->read(0, [&](ReadResult r) {
@@ -238,7 +238,7 @@ TEST(RegisterDesTest, RetryRecoversFromCrashedServers) {
 TEST(RegisterDesTest, WithoutRetriesCrashedQuorumStalls) {
   quorum::ProbabilisticQuorums qs(10, 3);
   Cluster c(10, 1, qs);
-  for (net::NodeId s = 0; s < 8; ++s) c.transport.crash(s);
+  for (net::NodeId s = 0; s < 8; ++s) c.transport.faults().crash(s);
   bool done = false;
   c.clients[0]->write(0, val(1), [&](Timestamp) { done = true; });
   c.sim.run();

@@ -50,8 +50,9 @@ ScheduleProfile durable_churn_profile(std::uint64_t seed, bool multikey) {
   p.faults = net::FaultPlan::random_churn(p.num_servers, p.horizon,
                                           /*mean_uptime=*/20.0,
                                           /*mean_downtime=*/8.0, churn_rng);
-  p.faults.torn_write_at(30.0, 1);
-  p.faults.fsync_loss_at(40.0, 2).clear_fsync_loss_at(55.0, 2);
+  p.faults.add({.at = 30.0, .kind = net::FaultKind::kTornWrite, .node = 1})
+      .add({.at = 40.0, .kind = net::FaultKind::kFsyncLoss, .node = 2})
+      .add({.at = 55.0, .kind = net::FaultKind::kClearFsyncLoss, .node = 2});
   net::MessageFaults mf;
   mf.drop_probability = 0.02;
   mf.duplicate_probability = 0.02;

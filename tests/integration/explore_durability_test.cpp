@@ -55,9 +55,12 @@ ScheduleProfile skip_crc_bug_profile() {
   p.snapshot_every = 0;
   p.bug_skip_crc = true;
   const sim::Time t = 35.0;
-  p.faults.torn_write_at(t, 0);      // tear the next WAL sync on server 0
-  p.faults.crash_at(t + 0.4, 0);     // crash while the tear is the tail
-  p.faults.recover_at(t + 30.0, 0);  // recovery replays the torn garbage
+  using net::FaultKind;
+  // Tear the next WAL sync on server 0, crash while the tear is the tail;
+  // recovery replays the torn garbage.
+  p.faults.add({.at = t, .kind = FaultKind::kTornWrite, .node = 0})
+      .add({.at = t + 0.4, .kind = FaultKind::kCrash, .node = 0})
+      .add({.at = t + 30.0, .kind = FaultKind::kRecover, .node = 0});
   return p;
 }
 
@@ -151,10 +154,14 @@ TEST(ExploreDurabilityTest, FaultMutateDrawsDurabilityVerbsOnlyWhenEnabled) {
 // Durability verbs compose with key addressing: a `tornwrite:k3@T` targets
 // whatever node owns key 3 at resolve time.
 TEST(ExploreDurabilityTest, DurabilityVerbsAcceptKeyTargets) {
+  using net::FaultKind;
   net::FaultPlan plan;
-  plan.torn_write_key_at(10.0, 3);
-  plan.fsync_loss_key_at(20.0, 5);
-  plan.clear_fsync_loss_key_at(60.0, 5);
+  plan.add({.at = 10.0, .kind = FaultKind::kTornWrite, .node = 3,
+            .node_is_key = true});
+  plan.add({.at = 20.0, .kind = FaultKind::kFsyncLoss, .node = 5,
+            .node_is_key = true});
+  plan.add({.at = 60.0, .kind = FaultKind::kClearFsyncLoss, .node = 5,
+            .node_is_key = true});
   EXPECT_TRUE(plan.has_key_targets());
   EXPECT_EQ(net::FaultPlan::parse(plan.serialize()), plan);
 
@@ -178,7 +185,9 @@ TEST(ExploreDurabilityTest, FsyncLossWindowSugarDesugarsToAPair) {
 
   // The canonical form is the desugared pair, and it round-trips.
   net::FaultPlan explicit_pair;
-  explicit_pair.fsync_loss_at(20.0, 2).clear_fsync_loss_at(60.0, 2);
+  explicit_pair
+      .add({.at = 20.0, .kind = net::FaultKind::kFsyncLoss, .node = 2})
+      .add({.at = 60.0, .kind = net::FaultKind::kClearFsyncLoss, .node = 2});
   EXPECT_EQ(plan, explicit_pair);
   EXPECT_EQ(net::FaultPlan::parse(plan.serialize()), plan);
 }

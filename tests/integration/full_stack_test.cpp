@@ -141,7 +141,7 @@ TEST(FullStackTest, LossyNetworkWithRetriesStillConvergesAndSatisfiesR2) {
   sim::Simulator sim;
   auto delays = sim::make_exponential_delay(1.0);
   net::SimTransport transport(sim, *delays, master.fork(1), 16);
-  transport.set_drop_probability(0.10);
+  transport.faults().set_message_faults({.drop_probability = 0.10});
 
   // run_alg1 owns its transport (no drop-probability knob), so the register
   // layer is driven directly here.
@@ -188,7 +188,7 @@ TEST_P(LossSweep, RegisterSurvivesMessageLossWithRetries) {
   sim::Simulator sim;
   auto delays = sim::make_exponential_delay(1.0);
   net::SimTransport transport(sim, *delays, master.fork(1), 12);
-  transport.set_drop_probability(drop);
+  transport.faults().set_message_faults({.drop_probability = drop});
   std::vector<std::unique_ptr<core::ServerProcess>> servers;
   for (net::NodeId s = 0; s < 10; ++s) {
     servers.push_back(std::make_unique<core::ServerProcess>(transport, s));

@@ -211,7 +211,7 @@ TEST(Alg1DesTest, CrashToleranceWithRetries) {
   Alg1Options options;
   options.quorums = &qs;
   options.crashed_servers = {0, 1, 2, 3, 4};  // 5 alive >= k = 3
-  options.retry_timeout = 8.0;
+  options.retry = core::RetryPolicy::fixed(8.0);
   Alg1Result r = run_alg1(op, options);
   EXPECT_TRUE(r.converged);
   EXPECT_GT(r.retries, 0u);
@@ -224,7 +224,7 @@ TEST(Alg1DesTest, MajorityStallsWhenMajorityCrashed) {
   Alg1Options options;
   options.quorums = &qs;
   options.crashed_servers = {0, 1, 2, 3, 4};  // 5 alive < 6 needed
-  options.retry_timeout = 8.0;
+  options.retry = core::RetryPolicy::fixed(8.0);
   options.max_sim_time = 500.0;
   Alg1Result r = run_alg1(op, options);
   EXPECT_FALSE(r.converged)
@@ -238,7 +238,7 @@ TEST(Alg1DesTest, ProbabilisticSurvivesWhereMajorityStalls) {
   apps::ApspOperator op(g);
   Alg1Options options;
   options.crashed_servers = {0, 1, 2, 3, 4, 5};
-  options.retry_timeout = 8.0;
+  options.retry = core::RetryPolicy::fixed(8.0);
   options.max_sim_time = 3000.0;
 
   quorum::ProbabilisticQuorums prob(10, 3);
@@ -263,7 +263,7 @@ TEST(Alg1DesTest, SurvivesServerChurnWithRetries) {
                                    /*mean_downtime=*/10.0, churn_rng);
   iter::Alg1Options options;
   options.quorums = &qs;
-  options.retry_timeout = 8.0;
+  options.retry = core::RetryPolicy::fixed(8.0);
   options.fault_plan = &plan;
   options.round_cap = 20000;
   options.max_sim_time = 20000.0;

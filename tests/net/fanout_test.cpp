@@ -157,8 +157,8 @@ TEST(FanoutBatching, CrashInFlightDropsAtFireTime) {
                               Message::read_req(0, 1));
   // Crash node 2 before any delivery fires: its entry must drop at fire
   // time in both worlds.
-  loop.transport.crash(2);
-  batch.transport.crash(2);
+  loop.transport.faults().crash(2);
+  batch.transport.faults().crash(2);
   loop.sim.run();
   batch.sim.run();
   expect_worlds_equal(loop, batch);

@@ -10,12 +10,14 @@ namespace {
 
 TEST(FaultPlanRoundtripTest, HandWrittenPlanRoundTrips) {
   FaultPlan plan;
-  plan.crash_at(10.0, 2)
-      .recover_at(50.0, 2)
-      .slow_at(5.0, 1, 3.5)
-      .clear_slow_at(25.0, 1)
-      .partition_at(30.0, {{0, 1}, {2, 3, 4}})
-      .heal_at(60.0);
+  plan.add({.at = 10.0, .kind = FaultKind::kCrash, .node = 2})
+      .add({.at = 50.0, .kind = FaultKind::kRecover, .node = 2})
+      .add({.at = 5.0, .kind = FaultKind::kSlow, .node = 1, .factor = 3.5})
+      .add({.at = 25.0, .kind = FaultKind::kClearSlow, .node = 1})
+      .add({.at = 30.0,
+            .kind = FaultKind::kPartition,
+            .groups = {{0, 1}, {2, 3, 4}}})
+      .add({.at = 60.0, .kind = FaultKind::kHeal});
   MessageFaults mf;
   mf.drop_probability = 0.02;
   mf.duplicate_probability = 0.01;
@@ -60,7 +62,8 @@ TEST(FaultPlanRoundtripTest, ReorderDelayWithoutProbabilityIsNormalized) {
   mf.reorder_probability = 0.0;
   mf.reorder_delay_max = 5.0;
   FaultPlan plan;
-  plan.crash_at(1.0, 0).with_message_faults(mf);
+  plan.add({.at = 1.0, .kind = FaultKind::kCrash, .node = 0})
+      .with_message_faults(mf);
   EXPECT_EQ(plan.message_faults().reorder_delay_max, 0.0);
   EXPECT_EQ(FaultPlan::parse(plan.serialize()), plan);
 
@@ -73,11 +76,16 @@ TEST(FaultPlanRoundtripTest, KeyAddressedPlanRoundTrips) {
   // The key-addressed grammar (docs/SHARDING.md): `k<KEY>` in any node
   // position, including partition members.
   FaultPlan plan;
-  plan.crash_key_at(10.0, 12)
-      .recover_key_at(60.0, 12)
-      .slow_key_at(5.0, 7, 2.5)
-      .clear_slow_key_at(25.0, 7)
-      .crash_at(15.0, 3);  // node- and key-addressed events mix freely
+  plan.add({.at = 10.0, .kind = FaultKind::kCrash, .node = 12,
+            .node_is_key = true})
+      .add({.at = 60.0, .kind = FaultKind::kRecover, .node = 12,
+            .node_is_key = true})
+      .add({.at = 5.0, .kind = FaultKind::kSlow, .node = 7,
+            .node_is_key = true, .factor = 2.5})
+      .add({.at = 25.0, .kind = FaultKind::kClearSlow, .node = 7,
+            .node_is_key = true})
+      // node- and key-addressed events mix freely
+      .add({.at = 15.0, .kind = FaultKind::kCrash, .node = 3});
   MessageFaults mf;
   mf.drop_probability = 0.01;
   plan.with_message_faults(mf);
@@ -128,13 +136,16 @@ TEST(FaultPlanRoundtripTest, DurabilityVerbsRoundTrip) {
   // The durability grammar (docs/DURABILITY.md): tornwrite / fsyncloss /
   // nofsyncloss, node- and key-addressed, mixing freely with the rest.
   FaultPlan plan;
-  plan.torn_write_at(12.0, 1)
-      .torn_write_key_at(18.0, 9)
-      .fsync_loss_at(22.0, 2)
-      .clear_fsync_loss_at(45.0, 2)
-      .fsync_loss_key_at(52.0, 9)
-      .clear_fsync_loss_key_at(72.0, 9)
-      .crash_at(21.0, 2);
+  plan.add({.at = 12.0, .kind = FaultKind::kTornWrite, .node = 1})
+      .add({.at = 18.0, .kind = FaultKind::kTornWrite, .node = 9,
+            .node_is_key = true})
+      .add({.at = 22.0, .kind = FaultKind::kFsyncLoss, .node = 2})
+      .add({.at = 45.0, .kind = FaultKind::kClearFsyncLoss, .node = 2})
+      .add({.at = 52.0, .kind = FaultKind::kFsyncLoss, .node = 9,
+            .node_is_key = true})
+      .add({.at = 72.0, .kind = FaultKind::kClearFsyncLoss, .node = 9,
+            .node_is_key = true})
+      .add({.at = 21.0, .kind = FaultKind::kCrash, .node = 2});
   const std::string text = plan.serialize();
   EXPECT_NE(text.find("tornwrite:1@12"), std::string::npos) << text;
   EXPECT_NE(text.find("tornwrite:k9@18"), std::string::npos) << text;
@@ -150,7 +161,8 @@ TEST(FaultPlanRoundtripTest, FsyncLossWindowSugarParsesToThePair) {
   // canonical (serialized) form is the pair, which round-trips.
   const FaultPlan sugar = FaultPlan::parse("fsyncloss:4@20-60");
   FaultPlan pair;
-  pair.fsync_loss_at(20.0, 4).clear_fsync_loss_at(60.0, 4);
+  pair.add({.at = 20.0, .kind = FaultKind::kFsyncLoss, .node = 4})
+      .add({.at = 60.0, .kind = FaultKind::kClearFsyncLoss, .node = 4});
   EXPECT_EQ(sugar, pair);
   EXPECT_EQ(FaultPlan::parse(sugar.serialize()), sugar);
   EXPECT_EQ(FaultPlan::parse(sugar.serialize()).serialize(),
@@ -159,7 +171,11 @@ TEST(FaultPlanRoundtripTest, FsyncLossWindowSugarParsesToThePair) {
   // Key-addressed windows desugar the same way.
   const FaultPlan key_sugar = FaultPlan::parse("fsyncloss:k3@5-15");
   FaultPlan key_pair;
-  key_pair.fsync_loss_key_at(5.0, 3).clear_fsync_loss_key_at(15.0, 3);
+  key_pair
+      .add({.at = 5.0, .kind = FaultKind::kFsyncLoss, .node = 3,
+            .node_is_key = true})
+      .add({.at = 15.0, .kind = FaultKind::kClearFsyncLoss, .node = 3,
+            .node_is_key = true});
   EXPECT_EQ(key_sugar, key_pair);
 }
 
@@ -208,6 +224,49 @@ TEST(FaultPlanRoundtripTest, FromPartsPreservesEventOrderAndKnobs) {
       FaultPlan::from_parts(plan.events(), plan.message_faults());
   EXPECT_EQ(rebuilt, plan);
   EXPECT_EQ(rebuilt.serialize(), plan.serialize());
+}
+
+TEST(FaultPlanSweepTest, TruncationsAndSubstitutionsParseOrReject) {
+  // A valid plan using every verb, both target forms, both window sugars
+  // and all four knobs.  Its numbers are short, so no single substitution
+  // can spell a huge range.
+  const std::string seed =
+      "crash:1@10;recover:k2@20;slow:3*2@5;noslow:k3@25;"
+      "partition:0-2,k7|3@30;heal@40;tornwrite:k4@12;fsyncloss:2@22;"
+      "nofsyncloss:k2@45;slow:k6*1.5@8;outage:k5@50-60;fsyncloss:1@70-80;"
+      "drop=0.5;dup=0.25;delay=1.5;reorder=0.1:3";
+  ASSERT_NO_THROW(FaultPlan::parse(seed));
+  std::size_t accepted = 0;
+  // Every attempt either throws std::logic_error (anything else fails the
+  // test) or yields a plan that serializes to a fixed point.
+  const auto attempt = [&](const std::string& text) {
+    FaultPlan plan;
+    try {
+      plan = FaultPlan::parse(text);
+    } catch (const std::logic_error&) {
+      return;
+    }
+    ++accepted;
+    const std::string canonical = plan.serialize();
+    FaultPlan reparsed;
+    ASSERT_NO_THROW(reparsed = FaultPlan::parse(canonical))
+        << text << " -> " << canonical;
+    EXPECT_EQ(reparsed, plan) << text << " -> " << canonical;
+    EXPECT_EQ(reparsed.serialize(), canonical) << text;
+  };
+  for (std::size_t n = 0; n <= seed.size(); ++n) attempt(seed.substr(0, n));
+  const std::string alphabet = "019-.:;@|,*=kxe ";
+  for (std::size_t i = 0; i < seed.size(); ++i) {
+    for (const char c : alphabet) {
+      if (seed[i] == c) continue;
+      std::string mutated = seed;
+      mutated[i] = c;
+      attempt(mutated);
+    }
+  }
+  // Both outcomes occur: the sweep is not all-reject or all-accept.
+  EXPECT_GT(accepted, seed.size());
+  EXPECT_LT(accepted, seed.size() * (alphabet.size() + 1));
 }
 
 }  // namespace

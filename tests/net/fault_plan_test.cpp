@@ -29,13 +29,13 @@ TEST(FaultPlanTest, InstallDrivesCrashAndRecovery) {
   EXPECT_EQ(rx1.received, 1);
   // During the outage: dropped.
   sim.run_until(7.0);
-  EXPECT_TRUE(transport.is_crashed(1));
+  EXPECT_TRUE(transport.faults().is_crashed(1));
   transport.send(0, 1, Message::read_req(0, 2));
   sim.run_until(9.0);
   EXPECT_EQ(rx1.received, 1);
   // After recovery: delivered again.
   sim.run_until(16.0);
-  EXPECT_FALSE(transport.is_crashed(1));
+  EXPECT_FALSE(transport.faults().is_crashed(1));
   transport.send(0, 1, Message::read_req(0, 3));
   sim.run();
   EXPECT_EQ(rx1.received, 2);
@@ -75,10 +75,15 @@ TEST(FaultPlanTest, ChurnIsDeterministicGivenSeed) {
 
 TEST(FaultPlanTest, RejectsBadArguments) {
   FaultPlan plan;
-  EXPECT_THROW(plan.crash_at(-1.0, 0), std::logic_error);
+  EXPECT_THROW(plan.add({.at = -1.0, .kind = FaultKind::kCrash}),
+               std::logic_error);
   EXPECT_THROW(plan.outage(0, 1.0, 0.0), std::logic_error);
-  EXPECT_THROW(plan.slow_at(1.0, 0, 0.5), std::logic_error);
-  EXPECT_THROW(plan.partition_at(1.0, {{0, 1}}), std::logic_error);
+  EXPECT_THROW(plan.add({.at = 1.0, .kind = FaultKind::kSlow, .factor = 0.5}),
+               std::logic_error);
+  EXPECT_THROW(
+      plan.add({.at = 1.0, .kind = FaultKind::kPartition, .groups = {{0, 1}}}),
+      std::logic_error);
+  EXPECT_TRUE(plan.events().empty());
 }
 
 TEST(FaultPlanTest, ParseAcceptsFullGrammar) {
@@ -120,6 +125,56 @@ TEST(FaultPlanTest, ParseRejectsBadClauses) {
   EXPECT_THROW(FaultPlan::parse("outage:1@9-3"), std::logic_error);
   EXPECT_THROW(FaultPlan::parse("frob=0.1"), std::logic_error);
   EXPECT_THROW(FaultPlan::parse("drop=abc"), std::logic_error);
+
+  // Ids are whole numbers that fit 32 bits: no fraction, hex, sign,
+  // exponent or overflow.
+  EXPECT_THROW(FaultPlan::parse("crash:1.5@10"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("crash:0x2@1"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("crash:-1@10"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("crash:+1@10"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("crash:1e0@10"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("crash:k4294967296@10"), std::logic_error);
+  EXPECT_NO_THROW(FaultPlan::parse("crash:4294967295@10"));
+  // Times, delays and factors are finite; probabilities lie in [0, 1];
+  // delays are >= 0.
+  EXPECT_THROW(FaultPlan::parse("crash:2@inf"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("crash:2@nan"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("crash:2@-1"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("slow:1*inf@3"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("drop=1.5"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("drop=nan"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("dup=7"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("delay=-5"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("delay=inf"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("reorder=0.5:-3"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("outage:1@5-inf"), std::logic_error);
+  // A range expands to at most 2^16 ids and never wraps.
+  EXPECT_THROW(FaultPlan::parse("partition:0-4294967295@1"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("partition:0-4000000000@1"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("partition:0-65536|70000@1"),
+               std::logic_error);
+  EXPECT_EQ(FaultPlan::parse("partition:0-65535|70000@1")
+                .events()[0]
+                .groups[0]
+                .size(),
+            65536u);
+  // A node sits in one partition group; heal takes no target; every group
+  // and list item is non-empty.
+  EXPECT_THROW(FaultPlan::parse("partition:0,1|1@5"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("partition:0,0|1@5"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("heal:3@5"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("partition:0,|1@5"), std::logic_error);
+  EXPECT_THROW(FaultPlan::parse("partition:0|1|@5"), std::logic_error);
+
+  // Errors name the clause.
+  try {
+    FaultPlan::parse("crash:1@10; dup=7");
+    ADD_FAILURE() << "dup=7 parsed";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(),
+                 "bad fault-plan clause 'dup=7': probability must lie in "
+                 "[0, 1]");
+  }
 }
 
 TEST(FaultPlanTest, ParseAcceptsKeyAddressedTargets) {
@@ -146,8 +201,8 @@ TEST(FaultPlanTest, ParseAcceptsKeyAddressedTargets) {
 }
 
 TEST(FaultPlanTest, ResolveKeysMapsTargetsToPrimaries) {
-  FaultPlan plan;
-  plan.crash_key_at(10.0, 12).recover_key_at(50.0, 12).crash_at(5.0, 1);
+  const FaultPlan plan =
+      FaultPlan::parse("crash:k12@10;recover:k12@50;crash:1@5");
   FaultPlan part = FaultPlan::parse("partition:0,k9,k4|2@3");
   ASSERT_TRUE(plan.has_key_targets());
 
@@ -166,6 +221,12 @@ TEST(FaultPlanTest, ResolveKeysMapsTargetsToPrimaries) {
   EXPECT_FALSE(rpart.has_key_targets());
   EXPECT_EQ(rpart.events()[0].groups[0], (std::vector<NodeId>{0, 4}));
   EXPECT_EQ(rpart.events()[0].groups[1], (std::vector<NodeId>{2}));
+  // A primary that lands in another group would put one node in two
+  // groups, which FaultInjector::partition rejects mid-run: the check before
+  // installation catches it (k9 -> 4).
+  const FaultPlan cross =
+      FaultPlan::parse("partition:4|0,k9@3").resolve_keys(primary);
+  EXPECT_THROW(cross.check_targets(5), std::logic_error);
 
   // Resolution is a copy: the original still carries its key targets (one
   // plan can be resolved against several cluster shapes).
@@ -178,7 +239,8 @@ TEST(FaultPlanTest, InstallRejectsUnresolvedKeyTargets) {
   SimTransport transport(sim, *delay, util::Rng(1), 3);
 
   FaultPlan plan;
-  plan.crash_key_at(10.0, 2);
+  plan.add({.at = 10.0, .kind = FaultKind::kCrash, .node = 2,
+            .node_is_key = true});
   EXPECT_THROW(plan.install(sim, transport), std::logic_error);
 
   // Resolving unblocks installation.
@@ -186,7 +248,29 @@ TEST(FaultPlanTest, InstallRejectsUnresolvedKeyTargets) {
       plan.resolve_keys([](KeyId key) { return static_cast<NodeId>(key); });
   resolved.install(sim, transport);
   sim.run_until(11.0);
-  EXPECT_TRUE(transport.is_crashed(2));
+  EXPECT_TRUE(transport.faults().is_crashed(2));
+}
+
+TEST(FaultPlanTest, InstallRejectsOutOfRangeTargetsBeforeScheduling) {
+  sim::Simulator sim;
+  auto delay = sim::make_constant_delay(0.1);
+  SimTransport transport(sim, *delay, util::Rng(1), 3);
+
+  for (const char* spec : {"crash:1@5;crash:3@10", "partition:0|1,7@5",
+                           "slow:9*2@1"}) {
+    const FaultPlan plan = FaultPlan::parse(spec);
+    try {
+      plan.install(sim, transport);
+      ADD_FAILURE() << spec << " installed";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad fault-plan clause"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  // Nothing was scheduled: the valid crash:1@5 before crash:3 never lands.
+  sim.run();
+  EXPECT_FALSE(transport.faults().is_crashed(1));
 }
 
 TEST(FaultPlanTest, EmptyConsidersMessageFaults) {

@@ -79,7 +79,7 @@ TEST_F(SimTransportTest, StatsMinusAttributesPhases) {
 }
 
 TEST_F(SimTransportTest, CrashedDestinationDropsMessages) {
-  transport_.crash(1);
+  transport_.faults().crash(1);
   transport_.send(0, 1, Message::read_req(0, 1));
   sim_.run();
   EXPECT_TRUE(recorders_[1].messages.empty());
@@ -88,7 +88,7 @@ TEST_F(SimTransportTest, CrashedDestinationDropsMessages) {
 }
 
 TEST_F(SimTransportTest, CrashedSourceDropsMessages) {
-  transport_.crash(0);
+  transport_.faults().crash(0);
   transport_.send(0, 1, Message::read_req(0, 1));
   sim_.run();
   EXPECT_TRUE(recorders_[1].messages.empty());
@@ -97,22 +97,22 @@ TEST_F(SimTransportTest, CrashedSourceDropsMessages) {
 
 TEST_F(SimTransportTest, CrashInFlightDropsMessage) {
   transport_.send(0, 1, Message::read_req(0, 1));
-  transport_.crash(1);  // after send, before delivery
+  transport_.faults().crash(1);  // after send, before delivery
   sim_.run();
   EXPECT_TRUE(recorders_[1].messages.empty());
   EXPECT_EQ(transport_.stats().dropped, 1u);
 }
 
 TEST_F(SimTransportTest, RecoverRestoresDelivery) {
-  transport_.crash(1);
-  transport_.recover(1);
+  transport_.faults().crash(1);
+  transport_.faults().recover(1);
   transport_.send(0, 1, Message::read_req(0, 1));
   sim_.run();
   EXPECT_EQ(recorders_[1].messages.size(), 1u);
 }
 
 TEST_F(SimTransportTest, DropProbabilityLosesRoughlyThatFraction) {
-  transport_.set_drop_probability(0.25);
+  transport_.faults().set_message_faults({.drop_probability = 0.25});
   for (int i = 0; i < 4000; ++i) {
     transport_.send(0, 1, Message::read_req(0, static_cast<OpId>(i)));
   }
@@ -124,7 +124,7 @@ TEST_F(SimTransportTest, DropProbabilityLosesRoughlyThatFraction) {
 TEST_F(SimTransportTest, RejectsUnknownNodes) {
   EXPECT_THROW(transport_.send(0, 99, Message::read_req(0, 1)),
                std::logic_error);
-  EXPECT_THROW(transport_.crash(99), std::logic_error);
+  EXPECT_THROW(transport_.faults().crash(99), std::logic_error);
 }
 
 TEST_F(SimTransportTest, RejectsDoubleRegistration) {

@@ -10,6 +10,10 @@
 namespace pqra::net {
 namespace {
 
+FaultCounters counters(ThreadTransport& t) {
+  return t.with_faults([](FaultInjector& f) { return f.counters(); });
+}
+
 TEST(ThreadTransportTest, SendThenTryRecv) {
   ThreadTransport t(2);
   t.send(0, 1, Message::read_req(5, 9));
@@ -111,15 +115,15 @@ TEST(ThreadTransportTest, RejectsOutOfRangeNodes) {
 
 TEST(ThreadTransportTest, CrashedNodeLosesTraffic) {
   ThreadTransport t(3);
-  t.crash(1);
+  t.with_faults([](FaultInjector& faults) { faults.crash(1); });
   t.send(0, 1, Message::read_req(0, 1));  // to the crashed node
   t.send(1, 2, Message::read_req(0, 2));  // from the crashed node
   EXPECT_FALSE(t.try_recv(1).has_value());
   EXPECT_FALSE(t.try_recv(2).has_value());
   EXPECT_EQ(t.stats().dropped, 2u);
-  EXPECT_EQ(t.fault_counters().crash_drops, 2u);
+  EXPECT_EQ(counters(t).crash_drops, 2u);
 
-  t.recover(1);
+  t.with_faults([](FaultInjector& faults) { faults.recover(1); });
   t.send(0, 1, Message::read_req(0, 3));
   auto env = t.try_recv(1);
   ASSERT_TRUE(env.has_value());
@@ -128,12 +132,13 @@ TEST(ThreadTransportTest, CrashedNodeLosesTraffic) {
 
 TEST(ThreadTransportTest, PartitionAndHeal) {
   ThreadTransport t(4);
-  t.partition({{0, 1}, {2, 3}});
+  t.with_faults(
+      [](FaultInjector& faults) { faults.partition({{0, 1}, {2, 3}}); });
   t.send(0, 2, Message::read_req(0, 1));
   EXPECT_FALSE(t.try_recv(2).has_value());
   t.send(0, 1, Message::read_req(0, 2));
   EXPECT_TRUE(t.try_recv(1).has_value());
-  t.heal();
+  t.with_faults([](FaultInjector& faults) { faults.heal(); });
   t.send(0, 2, Message::read_req(0, 3));
   EXPECT_TRUE(t.try_recv(2).has_value());
 }
@@ -142,7 +147,7 @@ TEST(ThreadTransportTest, ExtraDelayHoldsDeliveryBack) {
   ThreadTransport t(2);
   MessageFaults faults;
   faults.extra_delay = 0.05;  // seconds on this runtime
-  t.set_message_faults(faults);
+  t.with_faults([&](FaultInjector& f) { f.set_message_faults(faults); });
   t.send(0, 1, Message::read_req(0, 7));
   // Not ready yet; a deadline shorter than the delay must time out.
   EXPECT_FALSE(t.try_recv(1).has_value());
@@ -150,7 +155,7 @@ TEST(ThreadTransportTest, ExtraDelayHoldsDeliveryBack) {
       1, std::chrono::steady_clock::now() + std::chrono::seconds(5));
   ASSERT_TRUE(env.has_value());
   EXPECT_EQ(env->msg.op, 7u);
-  EXPECT_EQ(t.fault_counters().delayed, 1u);
+  EXPECT_EQ(counters(t).delayed, 1u);
 }
 
 TEST(ThreadTransportTest, RecvUntilTimesOutOnAnEmptyMailbox) {
@@ -165,7 +170,7 @@ TEST(ThreadTransportTest, CloseDrainsDelayedMessagesImmediately) {
   ThreadTransport t(2);
   MessageFaults faults;
   faults.extra_delay = 30.0;  // far beyond the test's lifetime
-  t.set_message_faults(faults);
+  t.with_faults([&](FaultInjector& f) { f.set_message_faults(faults); });
   t.send(0, 1, Message::read_req(0, 9));
   t.close();
   // Drain ignores pending delays so teardown never waits on them.
@@ -178,7 +183,7 @@ TEST(ThreadTransportTest, DuplicateDeliversTwoCopies) {
   ThreadTransport t(2);
   MessageFaults faults;
   faults.duplicate_probability = 1.0;
-  t.set_message_faults(faults);
+  t.with_faults([&](FaultInjector& f) { f.set_message_faults(faults); });
   t.send(0, 1, Message::read_req(0, 4));
   auto first = t.try_recv(1);
   auto second = t.try_recv(1);
@@ -186,7 +191,7 @@ TEST(ThreadTransportTest, DuplicateDeliversTwoCopies) {
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(first->msg.op, 4u);
   EXPECT_EQ(second->msg.op, 4u);
-  EXPECT_EQ(t.fault_counters().duplicates, 1u);
+  EXPECT_EQ(counters(t).duplicates, 1u);
 }
 
 }  // namespace

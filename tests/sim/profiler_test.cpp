@@ -39,17 +39,19 @@ TEST(ProfilerTest, TagNamesMatchEnumerators) {
   EXPECT_STREQ(sim::event_tag_name(sim::EventTag::kProbe), "probe");
 }
 
-/// profiler.hpp promises its locally reimplemented histogram layout is
-/// numerically identical to obs::Histogram's (sim cannot link obs).  Pin
-/// bucket placement and bounds against the real thing.
+/// The profiler and obs::Histogram share util::log2_bucket's layout (sim
+/// cannot link obs).  Pin bucket placement and bounds against the real
+/// thing.
 TEST(ProfilerTest, HistogramLayoutMatchesObsHistogram) {
-  for (std::size_t i = 0; i < sim::Profiler::kNumBuckets; ++i) {
-    EXPECT_EQ(sim::Profiler::bucket_upper_bound(i),
+  ASSERT_EQ(obs::Histogram::kNumBuckets, util::kLog2Buckets);
+  for (std::size_t i = 0; i < util::kLog2Buckets; ++i) {
+    EXPECT_EQ(util::log2_bucket_upper_bound(i),
               obs::Histogram::bucket_upper_bound(i))
         << "bucket " << i;
   }
-  EXPECT_TRUE(std::isinf(
-      sim::Profiler::bucket_upper_bound(sim::Profiler::kNumBuckets - 1)));
+  EXPECT_TRUE(
+      std::isinf(util::log2_bucket_upper_bound(util::kLog2Buckets - 1)));
+  EXPECT_EQ(util::log2_bucket_upper_bound(util::kLog2BucketBias), 1.0);
 
   // Feed identical samples through both; every bucket count must agree.
   // Samples straddle the whole range: subnormal-ish, fractional, integral,
@@ -65,7 +67,7 @@ TEST(ProfilerTest, HistogramLayoutMatchesObsHistogram) {
     profiler.on_event(sim::EventTag::kGeneric, 0, s);
     hist.observe(s);
   }
-  for (std::size_t i = 0; i < sim::Profiler::kNumBuckets; ++i) {
+  for (std::size_t i = 0; i < util::kLog2Buckets; ++i) {
     EXPECT_EQ(profiler.advance_bucket(i), hist.bucket_count(i))
         << "bucket " << i;
   }

@@ -451,10 +451,10 @@ RunOutcome run_alg1_scenario(const ScheduleProfile& p,
   net::FaultPlan plan = p.faults;
   const auto n = static_cast<net::NodeId>(p.num_servers);
   for (net::NodeId s = 0; s < n; ++s) {
-    plan.recover_at(p.horizon, s);
-    plan.clear_slow_at(p.horizon, s);
+    plan.add({.at = p.horizon, .kind = net::FaultKind::kRecover, .node = s});
+    plan.add({.at = p.horizon, .kind = net::FaultKind::kClearSlow, .node = s});
   }
-  plan.heal_at(p.horizon);
+  plan.add({.at = p.horizon, .kind = net::FaultKind::kHeal});
 
   iter::Alg1Options o;
   o.quorums = &quorums;
