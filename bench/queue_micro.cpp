@@ -1,9 +1,11 @@
 /// \file queue_micro.cpp
 /// Microbenchmark of the simulator's pending-event set, sim::EventQueue
 /// (sim/event_queue.hpp), measured in isolation with the classic "hold"
-/// model: prefill N events, then repeatedly pop the minimum and push a
-/// replacement at now + delay.  Every hold moves one callback out of its
-/// slot and back in, as the simulator's schedule->fire loop does.
+/// model: prefill N events, then repeatedly fire the earliest one, which
+/// schedules its replacement at now + delay.  Every hold takes the path
+/// Simulator::step() takes: pop the key, invoke the callback in its slot
+/// (the push happens there, while the slot is still taken), then destroy
+/// the callback and free the slot.
 ///
 /// Sweeps pending-set sizes 10^3..10^7 under three delay mixes:
 ///   uniform     delays ~ U[0, 1)
@@ -18,7 +20,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <utility>
 
 #include "bench_common.hpp"
 #include "sim/event_queue.hpp"
@@ -49,22 +50,40 @@ struct CellOut {
   std::uint64_t ops = 0;   // total queue ops performed
 };
 
+/// What a firing hold event needs to schedule its replacement.
+struct HoldContext {
+  HoldContext(Mix m, std::uint64_t seed) : rng(seed), mix(m) {}
+
+  sim::EventArena arena;  // outlives the queue, as in sim::Simulator
+  sim::EventQueue queue;
+  util::Rng rng;
+  Mix mix;
+  sim::Time now = 0.0;
+  std::uint64_t seq = 0;
+};
+
+/// The event: when it fires, it schedules its successor.
+struct Hold {
+  HoldContext* ctx;
+  void operator()() const { schedule(*ctx, ctx->now); }
+
+  static void schedule(HoldContext& ctx, sim::Time base) {
+    ctx.queue.push(base + sample_delay(ctx.mix, ctx.rng), ctx.seq++,
+                   sim::EventTag::kGeneric, Hold{&ctx}, ctx.arena);
+  }
+};
+
 CellOut run_cell(Mix mix, std::size_t pending, std::size_t holds,
                  std::uint64_t seed) {
-  sim::EventQueue queue;
-  sim::EventArena arena;
-  util::Rng rng(seed);
-  std::uint64_t seq = 0;
+  HoldContext ctx(mix, seed);
   // Prefill: `pending` events spread by the mix.
-  for (std::size_t i = 0; i < pending; ++i) {
-    queue.push(sample_delay(mix, rng), seq++, sim::EventTag::kGeneric,
-               sim::EventFn([] {}, arena));
-  }
+  for (std::size_t i = 0; i < pending; ++i) Hold::schedule(ctx, 0.0);
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < holds; ++i) {
-    sim::EventQueue::Item item = queue.pop();
-    queue.push(item.t + sample_delay(mix, rng), seq++,
-               sim::EventTag::kGeneric, std::move(item.fn));
+    const sim::EventQueue::Popped top = ctx.queue.pop();
+    ctx.now = top.t;
+    ctx.queue.callback(top.slot)();
+    ctx.queue.release(top.slot);
   }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)

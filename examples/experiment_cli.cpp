@@ -1082,7 +1082,10 @@ int main(int argc, char** argv) {
   const std::string app = args.get("app", "apsp");
   if (app == "avail") return run_availability(args);
   if (app == "store") return run_store(args);
-  const std::string graph = args.get("graph", "chain");
+  // Only apsp and tc build a graph; for the other apps `graph` stays unread,
+  // so reject_unread() names it.
+  const std::string graph =
+      (app == "apsp" || app == "tc") ? args.get("graph", "chain") : "";
   const std::size_t size = args.get_n("size", 16);
   const std::string quorum_kind = args.get("quorum", "prob");
   const std::size_t servers = args.get_n("servers", size);

@@ -113,24 +113,28 @@ void SimTransport::record_flight(obs::FlightEventKind kind, NodeId from,
 
 void SimTransport::deliver_after(sim::Time delay, NodeId from, NodeId to,
                                  Message msg) {
-  simulator_.schedule_in(
-      delay, sim::EventTag::kMsgDeliver,
-      [this, from, to, m = std::move(msg)]() mutable {
-        // Re-check the destination: it may have crashed in flight.
-        if (faults_.is_crashed(to)) {
-          ++stats_.dropped;
-          if (metrics_.has_value()) metrics_->on_drop();
-          if (flight_recorder_ != nullptr) {
-            record_flight(obs::FlightEventKind::kDrop, from, to, m);
-          }
-          return;
-        }
-        ++stats_.received_by_node[to];
-        if (flight_recorder_ != nullptr) {
-          record_flight(obs::FlightEventKind::kDeliver, from, to, m);
-        }
-        receivers_[to]->on_message(from, std::move(m));
-      });
+  auto deliver = [this, from, to, m = std::move(msg)]() mutable {
+    // Re-check the destination: it may have crashed in flight.
+    if (faults_.is_crashed(to)) {
+      ++stats_.dropped;
+      if (metrics_.has_value()) metrics_->on_drop();
+      if (flight_recorder_ != nullptr) {
+        record_flight(obs::FlightEventKind::kDrop, from, to, m);
+      }
+      return;
+    }
+    ++stats_.received_by_node[to];
+    if (flight_recorder_ != nullptr) {
+      record_flight(obs::FlightEventKind::kDeliver, from, to, m);
+    }
+    receivers_[to]->on_message(from, std::move(m));
+  };
+  // Every point-to-point message and server reply takes this path; an arena
+  // block per delivery would cost a free-list round trip each.
+  static_assert(sim::EventFn::fits_inline<decltype(deliver)>(),
+                "the delivery closure must fit EventFn's inline storage");
+  simulator_.schedule_in(delay, sim::EventTag::kMsgDeliver,
+                         std::move(deliver));
 }
 
 void SimTransport::send(NodeId from, NodeId to, Message msg) {

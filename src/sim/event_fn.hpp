@@ -8,18 +8,22 @@
 /// its tiny internal buffer — a Message-carrying delivery lambda always
 /// missed it.  EventFn fixes the storage contract:
 ///
-///   - captures up to kInlineBytes live *inside* the event (the common case:
-///     a transport delivery closure with its Message fits), so scheduling
-///     performs zero heap allocations;
-///   - larger captures are placed in fixed-size blocks from an EventArena, a
-///     slab allocator with a free list — blocks are recycled event-to-event,
-///     so steady state performs zero heap allocations there too;
+///   - captures up to kInlineBytes (72) that need no more than pointer
+///     alignment live *inside* the event (the common case: a transport
+///     delivery closure with its Message fits), so scheduling performs zero
+///     heap allocations;
+///   - larger or over-aligned captures are placed in fixed-size blocks from
+///     an EventArena, a slab allocator with a free list — blocks are
+///     recycled event-to-event, so steady state performs zero heap
+///     allocations there too;
 ///   - captures larger than a block fall back to operator new and are
 ///     counted, so "zero allocations per event" is a number a test can
 ///     assert (see EventArena::Stats and Simulator::alloc_stats()).
 ///
-/// EventFn is move-only and single-shot in spirit (the simulator invokes it
-/// once and destroys it), but invocation does not consume it.
+/// EventFn is move-only and single-shot in spirit: the event queue builds
+/// each callback into a slot with emplace(), the simulator invokes it there
+/// once and reset()s it, and neither moves it.  Invocation does not consume
+/// it.
 
 #include <cstddef>
 #include <cstdint>
@@ -122,33 +126,58 @@ class EventArena {
   Stats stats_;
 };
 
-/// Move-only `void()` callable with a 64-byte inline buffer; captures that
+/// Move-only `void()` callable with a 72-byte inline buffer; captures that
 /// do not fit are stored in EventArena blocks.  See the file comment for the
 /// storage contract.
 class EventFn {
  public:
   /// Inline capacity.  Sized so the hottest closure in the system — the
-  /// SimTransport delivery lambda carrying a whole net::Message — stays
-  /// inline; the event heap moves events with one indirect call (or a plain
-  /// memcpy for trivially copyable captures).
-  static constexpr std::size_t kInlineBytes = 64;
+  /// SimTransport delivery lambda: `this`, from, to and a 56-byte
+  /// net::Message, 72 bytes in all — stays inline (sim_transport.cpp
+  /// static_asserts it).  Inline storage is pointer-aligned, so
+  /// sizeof(EventFn) is 80.
+  static constexpr std::size_t kInlineBytes = 72;
+
+  /// True when a callable of type \p F is stored inside the event: it fits
+  /// kInlineBytes, needs no more than pointer alignment and moves without
+  /// throwing.  Anything else goes to the arena.
+  template <typename F>
+  static constexpr bool fits_inline() {
+    using Fn = std::decay_t<F>;
+    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(void*) &&
+           std::is_nothrow_move_constructible_v<Fn>;
+  }
 
   EventFn() noexcept : vt_(nullptr) {}
 
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, EventFn>>>
-  EventFn(F&& f, EventArena& arena) {
+  EventFn(F&& f, EventArena& arena) : vt_(nullptr) {
+    emplace(std::forward<F>(f), arena);
+  }
+
+  /// Builds \p f into this (empty) event where it stands: an inline capture
+  /// is constructed in place, a larger one in an arena block.  This is how
+  /// the event queue fills a slot with one move (or copy) of the caller's
+  /// closure.  If that throws, the event stays empty and keeps no block.
+  template <typename F>
+  void emplace(F&& f, EventArena& arena) {
     using Fn = std::decay_t<F>;
     static_assert(std::is_invocable_r_v<void, Fn&>,
                   "event callback must be callable with no arguments");
-    if constexpr (stores_inline<Fn>()) {
+    if constexpr (fits_inline<Fn>()) {
       ::new (static_cast<void*>(store_.inline_bytes)) Fn(std::forward<F>(f));
       arena.note_inline();
       vt_ = inline_vtable<Fn>();
     } else {
       void* p = arena.allocate(sizeof(Fn));
-      ::new (p) Fn(std::forward<F>(f));
+      try {
+        ::new (p) Fn(std::forward<F>(f));
+      } catch (...) {
+        arena.deallocate(p, sizeof(Fn));  // a failed copy keeps no block
+        throw;
+      }
       store_.ext.ptr = p;
       store_.ext.arena = &arena;
       vt_ = external_vtable<Fn>();
@@ -170,32 +199,40 @@ class EventFn {
 
   ~EventFn() { reset(); }
 
-  void operator()() { vt_->invoke(object()); }
+  void operator()() { vt_->invoke(&store_); }
+
+  /// Destroys the capture (returning an arena block) and leaves the event
+  /// empty.
+  void reset() noexcept {
+    if (vt_ == nullptr) return;
+    vt_->destroy(&store_);
+    vt_ = nullptr;
+  }
 
   explicit operator bool() const noexcept { return vt_ != nullptr; }
 
  private:
-  struct VTable {
-    void (*invoke)(void* obj);
-    /// Move-construct at `to` from `from`, destroy `from`.  nullptr means
-    /// the capture is trivially copyable: relocation is a memcpy.
-    void (*relocate)(void* from, void* to);
-    void (*destroy)(void* obj);
-    std::size_t size;  ///< sizeof the stored capture (arena bookkeeping)
-    bool is_inline;
+  struct External {
+    void* ptr;
+    EventArena* arena;
   };
 
-  template <typename Fn>
-  static constexpr bool stores_inline() {
-    return sizeof(Fn) <= kInlineBytes &&
-           alignof(Fn) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
+  /// Every entry takes the address of store_, so neither invoking nor
+  /// destroying asks where the capture lives.
+  struct VTable {
+    void (*invoke)(void* store);
+    /// Move-construct at `to` from `from`, destroy `from`.  nullptr means
+    /// the stored bytes relocate with a memcpy of `bytes`: a trivially
+    /// copyable inline capture, or the pointer pair of an external one.
+    void (*relocate)(void* from, void* to);
+    void (*destroy)(void* store);
+    std::size_t bytes;
+  };
 
   template <typename Fn>
   static const VTable* inline_vtable() {
     static constexpr VTable vt{
-        [](void* obj) { (*static_cast<Fn*>(obj))(); },
+        [](void* store) { (*static_cast<Fn*>(store))(); },
         std::is_trivially_copyable_v<Fn>
             ? nullptr
             : +[](void* from, void* to) {
@@ -203,9 +240,8 @@ class EventFn {
                 ::new (to) Fn(std::move(*src));
                 src->~Fn();
               },
-        [](void* obj) { static_cast<Fn*>(obj)->~Fn(); },
+        [](void* store) { static_cast<Fn*>(store)->~Fn(); },
         sizeof(Fn),
-        /*is_inline=*/true,
     };
     return &vt;
   }
@@ -213,53 +249,39 @@ class EventFn {
   template <typename Fn>
   static const VTable* external_vtable() {
     static constexpr VTable vt{
-        [](void* obj) { (*static_cast<Fn*>(obj))(); },
-        nullptr,  // external storage relocates by pointer swap, never by move
-        [](void* obj) { static_cast<Fn*>(obj)->~Fn(); },
-        sizeof(Fn),
-        /*is_inline=*/false,
+        [](void* store) {
+          (*static_cast<Fn*>(static_cast<External*>(store)->ptr))();
+        },
+        nullptr,  // external storage relocates by pointer copy, never by move
+        [](void* store) {
+          const External ext = *static_cast<External*>(store);
+          static_cast<Fn*>(ext.ptr)->~Fn();
+          ext.arena->deallocate(ext.ptr, sizeof(Fn));
+        },
+        sizeof(External),
     };
     return &vt;
-  }
-
-  void* object() noexcept {
-    return vt_->is_inline ? static_cast<void*>(store_.inline_bytes)
-                          : store_.ext.ptr;
   }
 
   void steal(EventFn& other) noexcept {
     vt_ = other.vt_;
     if (vt_ == nullptr) return;
-    if (!vt_->is_inline) {
-      store_.ext = other.store_.ext;
-    } else if (vt_->relocate == nullptr) {
-      std::memcpy(store_.inline_bytes, other.store_.inline_bytes, vt_->size);
+    if (vt_->relocate == nullptr) {
+      std::memcpy(static_cast<void*>(&store_), &other.store_, vt_->bytes);
     } else {
-      vt_->relocate(other.store_.inline_bytes, store_.inline_bytes);
+      vt_->relocate(&other.store_, &store_);
     }
     other.vt_ = nullptr;
   }
 
-  void reset() noexcept {
-    if (vt_ == nullptr) return;
-    if (vt_->is_inline) {
-      vt_->destroy(store_.inline_bytes);
-    } else {
-      vt_->destroy(store_.ext.ptr);
-      store_.ext.arena->deallocate(store_.ext.ptr, vt_->size);
-    }
-    vt_ = nullptr;
-  }
-
   union Store {
     Store() {}  // NOLINT(modernize-use-equals-default) — union member
-    alignas(std::max_align_t) std::byte inline_bytes[kInlineBytes];
-    struct {
-      void* ptr;
-      EventArena* arena;
-    } ext;
+    alignas(void*) std::byte inline_bytes[kInlineBytes];
+    External ext;
   } store_;
   const VTable* vt_;
 };
+
+static_assert(sizeof(EventFn) == 80, "an event slot stays 80 bytes");
 
 }  // namespace pqra::sim

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <chrono>
-#include <utility>
 
 #include "util/check.hpp"
 
@@ -17,14 +16,15 @@ inline std::uint64_t fold(std::uint64_t h, std::uint64_t word) {
   return (h ^ word) * 0x100000001b3ULL;  // FNV-1a prime
 }
 
-}  // namespace
+/// Destroys the fired callback and frees its slot when step() leaves,
+/// whether the callback returned or threw.
+struct SlotRelease {
+  EventQueue& queue;
+  std::uint32_t slot;
+  ~SlotRelease() { queue.release(slot); }
+};
 
-void Simulator::push_event(Time t, std::uint64_t seq, EventTag tag,
-                           EventFn fn) {
-  PQRA_REQUIRE(static_cast<bool>(fn), "event callback must be callable");
-  queue_.push(t, seq, tag, std::move(fn));
-  if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
-}
+}  // namespace
 
 void Simulator::note_subevent(Time t, std::uint64_t seq, EventTag tag) {
   PQRA_CHECK(t == now_, "subevents fire inside the current event only");
@@ -38,20 +38,22 @@ void Simulator::note_subevent(Time t, std::uint64_t seq, EventTag tag) {
 
 bool Simulator::step() {
   if (queue_.empty()) return false;
-  EventQueue::Item ev = queue_.pop();
+  const EventQueue::Popped ev = queue_.pop();
+  const SlotRelease release{queue_, ev.slot};
+  EventFn& fn = queue_.callback(ev.slot);
   const Time prev = now_;
   now_ = ev.t;
   ++processed_;
   fingerprint_ = fold(fold(fingerprint_, std::bit_cast<std::uint64_t>(ev.t)),
                       ev.seq);
   if (profiler_ == nullptr) {
-    ev.fn();
+    fn();
   } else {
     // steady_clock (never system_clock: docs/STATIC_ANALYSIS.md) around the
     // callback only — queue maintenance stays unattributed so tag costs are
     // comparable across queue implementations.
     const auto wall_start = std::chrono::steady_clock::now();
-    ev.fn();
+    fn();
     const auto wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                              std::chrono::steady_clock::now() - wall_start)
                              .count();

@@ -9,17 +9,22 @@
 /// reproducible and every test deterministic.
 ///
 /// The pending-event set is an EventQueue (sim/event_queue.hpp), a 4-ary
-/// heap of compact keys that pops strictly by (time, seq), so the executed
-/// schedule — and therefore the fingerprint and every byte of output — is a
-/// function of the schedule calls alone.  Callbacks are EventFn
-/// (sim/event_fn.hpp), not std::function: small captures live inside the
-/// event and oversized ones in a recycled slab, so the schedule→fire path
-/// performs zero heap allocations — asserted by tests against
-/// alloc_stats(), not just by inspection.
+/// heap of compact rank keys that pops strictly by (time, seq), so the
+/// executed schedule — and therefore the fingerprint and every byte of
+/// output — is a function of the schedule calls alone.  Callbacks are
+/// EventFn (sim/event_fn.hpp), not std::function: small captures live
+/// inside the event and oversized ones in a recycled slab, so the
+/// schedule→fire path performs zero heap allocations — asserted by tests
+/// against alloc_stats(), not just by inspection.
+///
+/// schedule_*() builds each callback once, straight into a queue slot that
+/// never moves, and step() runs it in that slot, then destroys it and frees
+/// the slot — also when the callback throws.  A capture is moved (or
+/// copied) once, into its slot, and never after schedule_*() returns.
 ///
 /// Batched fan-out support: a caller scheduling k causally-related events
 /// (a quorum send) can reserve_seqs(k) up front, schedule only the earliest
-/// entry with schedule_at_seq(), and report the rest as they are delivered
+/// entry with schedule_batch(), and report the rest as they are delivered
 /// inline or rescheduled — see net/sim_transport.cpp.  note_subevent() keeps
 /// events_processed() and the fingerprint identical to the unbatched
 /// schedule, so batching is invisible to every determinism check.
@@ -69,7 +74,7 @@ class Simulator {
   template <typename F>
   void schedule_at(Time t, EventTag tag, F&& fn) {
     PQRA_REQUIRE(t >= now_, "cannot schedule into the past");
-    push_event(t, next_seq_++, tag, EventFn(std::forward<F>(fn), arena_));
+    push_event(t, next_seq_++, tag, std::forward<F>(fn));
   }
 
   /// Reserves \p k consecutive sequence numbers and returns the first.  A
@@ -90,7 +95,7 @@ class Simulator {
   void schedule_batch(Time t, std::uint64_t seq, EventTag tag, F&& fn) {
     PQRA_REQUIRE(t >= now_, "cannot schedule into the past");
     PQRA_CHECK(seq < next_seq_, "seq must come from reserve_seqs()");
-    push_event(t, seq, tag, EventFn(std::forward<F>(fn), arena_));
+    push_event(t, seq, tag, std::forward<F>(fn));
   }
 
   /// Accounts one batched fan-out entry delivered inline by the currently
@@ -110,7 +115,9 @@ class Simulator {
   void set_profiler(Profiler* profiler) { profiler_ = profiler; }
   Profiler* profiler() const { return profiler_; }
 
-  /// Runs one event.  Returns false when the queue is empty.
+  /// Runs one event in its queue slot.  Returns false when the queue is
+  /// empty.  If the callback throws, the exception propagates after the
+  /// callback is destroyed and its slot freed.
   bool step();
 
   /// Runs until the queue empties or request_stop() is called.
@@ -151,10 +158,6 @@ class Simulator {
   /// needed).
   std::size_t queue_high_water() const { return queue_high_water_; }
 
-  /// \deprecated Pre-calendar-queue name for queue_high_water(); kept one
-  /// release for external callers.
-  std::size_t max_pending_events() const { return queue_high_water_; }
-
   /// Event-capture allocation tallies (inline vs slab vs counted heap
   /// fallback) — the sibling of queue_high_water() for the allocation
   /// story.  alloc_stats().heap_allocations() == 0 is the zero-allocation
@@ -162,7 +165,11 @@ class Simulator {
   const EventArena::Stats& alloc_stats() const { return arena_.stats(); }
 
  private:
-  void push_event(Time t, std::uint64_t seq, EventTag tag, EventFn fn);
+  template <typename F>
+  void push_event(Time t, std::uint64_t seq, EventTag tag, F&& fn) {
+    queue_.push(t, seq, tag, std::forward<F>(fn), arena_);
+    if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
+  }
 
   // arena_ outlives queue_: callbacks still queued at destruction (and the
   // fan-out blocks they own) return their storage to the arena.

@@ -40,6 +40,7 @@ expect_usage_error(avail_unknown_key trace-out app=avail
 
 # Values an app used to replace silently.
 expect_usage_error(unknown_graph graph app=apsp size=8 graph=foo)
+expect_usage_error(csp_reads_no_graph graph app=csp graph=foo size=6 runs=1)
 expect_usage_error(avail_unknown_recovery recovery app=avail recovery=bogus)
 expect_usage_error(avail_churn_too_big churn app=avail churn=1.5)
 expect_usage_error(avail_churn_zero churn app=avail churn=0)

@@ -78,6 +78,24 @@ TEST_F(SimTransportTest, StatsMinusAttributesPhases) {
   EXPECT_EQ(delta.received_by_node[2], 1u);
 }
 
+/// Point-to-point deliveries (every server reply) carry a whole Message in
+/// their closure; it must stay inside the event, not take an arena block.
+TEST_F(SimTransportTest, PointToPointDeliveriesStayInline) {
+  const std::uint64_t inline_before = sim_.alloc_stats().inline_events;
+  transport_.send(0, 1, Message::read_req(7, 1));
+  transport_.send(1, 0, Message::read_ack(7, 1, 3, Value(util::Bytes(3))));
+  transport_.send(2, 3, Message::write_req(7, 2, 4, Value(util::Bytes(1))));
+  transport_.send(3, 2, Message::write_ack(7, 2, 4));
+  sim_.run();
+  EXPECT_EQ(transport_.stats().total, 4u);
+  EXPECT_EQ(recorders_[0].messages.size() + recorders_[1].messages.size() +
+                recorders_[2].messages.size() + recorders_[3].messages.size(),
+            4u);
+  EXPECT_EQ(sim_.alloc_stats().inline_events - inline_before, 4u);
+  EXPECT_EQ(sim_.alloc_stats().arena_events, 0u);
+  EXPECT_EQ(sim_.alloc_stats().heap_allocations(), 0u);
+}
+
 TEST_F(SimTransportTest, CrashedDestinationDropsMessages) {
   transport_.faults().crash(1);
   transport_.send(0, 1, Message::read_req(0, 1));
