@@ -114,7 +114,11 @@ RATE[theorem4_q_fast]=$(events_rate "$thm4_err")
 # 6. Sharded multi-key store at scale: 100k keys, 64 clients — the
 #    batched-fan-out stress case (one quorum fan-out per client op).  The
 #    pending set stays small: each closed-loop client has one operation
-#    outstanding, so the event queue peaks at a few hundred entries.
+#    outstanding, so the event queue peaks at a few hundred entries.  Its
+#    per-key costs are the rest: each op resolves its key's replica group
+#    through the ring and probes the client's per-key record at issue and
+#    at completion, and each run's spec check sorts every key's records
+#    (most (client, key) pairs occur once, so nothing per key is cached).
 time_best store "$CLI" app=store keys=100000 clients=64 ops=400 servers=32 \
   replicas=3 k=2 runs=3 seed=1 jobs=1
 WALL[cli_store_100k]=$store_wall

@@ -165,7 +165,7 @@ std::optional<BlockingReadResult> BlockingRegisterClient::read(RegisterId reg) {
     }
   }
   if (monotone_ &&
-      QuorumAccess::serve_monotone(monotone_cache_[reg], access.best_ts,
+      QuorumAccess::serve_monotone(keys_.entry(reg).cached, access.best_ts,
                                    access.best_value)) {
     result.from_monotone_cache = true;
     ++monotone_cache_hits_;
@@ -186,7 +186,7 @@ std::optional<Timestamp> BlockingRegisterClient::write(RegisterId reg,
                                                        Value value) {
   OpId op = next_op_++;
   const double started = wall_seconds();
-  Timestamp ts = ++write_ts_[reg];
+  Timestamp ts = ++keys_.entry(reg).write_ts;
   QuorumAccess access;
   const OpStatus status =
       run_op(reg, /*is_read=*/false, op, ts, value, access);

@@ -20,9 +20,9 @@
 
 #include <chrono>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
+#include "core/keyspace/flat_table.hpp"
 #include "core/quorum_access.hpp"
 #include "core/register_types.hpp"
 #include "net/thread_transport.hpp"
@@ -111,8 +111,9 @@ class BlockingRegisterClient {
   RetryPolicy retry_;
 
   OpId next_op_ = 1;
-  std::unordered_map<RegisterId, Timestamp> write_ts_;
-  std::unordered_map<RegisterId, TimestampedValue> monotone_cache_;
+  /// Writer timestamp and monotone cache per register (max_seen_ts unused:
+  /// this client reports no staleness depth).
+  keyspace::FlatTable<KeyState> keys_;
   std::uint64_t monotone_cache_hits_ = 0;
   std::uint64_t retries_ = 0;
   std::uint64_t op_failures_ = 0;

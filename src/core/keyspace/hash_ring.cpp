@@ -33,7 +33,6 @@ void HashRing::add_node(NodeId node) {
   std::sort(ring_.begin(), ring_.end(), [](const VNode& a, const VNode& b) {
     return a.pos != b.pos ? a.pos < b.pos : a.node < b.node;
   });
-  ++version_;
 }
 
 void HashRing::remove_node(NodeId node) {
@@ -42,7 +41,6 @@ void HashRing::remove_node(NodeId node) {
   ring_.erase(std::remove_if(ring_.begin(), ring_.end(),
                              [node](const VNode& v) { return v.node == node; }),
               ring_.end());
-  ++version_;
 }
 
 bool HashRing::contains(NodeId node) const {

@@ -55,13 +55,6 @@ class HashRing {
   bool contains(NodeId node) const;
 
   std::size_t num_nodes() const { return members_.size(); }
-  std::size_t vnodes_per_node() const { return vnodes_; }
-
-  /// Bumped on every membership edit.  Resolution caches (the register
-  /// client's replica-group cache) key their validity on this, so cached
-  /// groups survive exactly as long as the membership they were computed
-  /// from.
-  std::uint64_t version() const { return version_; }
 
   /// The key's first owner clockwise of its hash position.
   NodeId primary(KeyId key) const;
@@ -88,7 +81,6 @@ class HashRing {
   std::size_t vnodes_;
   std::vector<VNode> ring_;       ///< sorted by (pos, node)
   std::vector<NodeId> members_;   ///< sorted
-  std::uint64_t version_ = 0;
 };
 
 }  // namespace pqra::core::keyspace

@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "obs/names.hpp"
-#include "util/check.hpp"
 
 namespace pqra::core::keyspace {
 
@@ -23,11 +22,8 @@ ShardedStoreClient::ShardedStoreClient(sim::Simulator& simulator,
                                        const util::Rng& rng,
                                        ShardedStoreOptions options,
                                        spec::HistoryRecorder* history)
-    : replicas_per_key_(quorums.num_servers()),
-      client_(simulator, transport, self, quorums, /*server_base=*/0, rng,
+    : client_(simulator, transport, self, quorums, /*server_base=*/0, rng,
               with_ring(options.client, ring), history) {
-  PQRA_REQUIRE(replicas_per_key_ <= ring.num_nodes(),
-               "replica group cannot exceed the ring membership");
   if (options.client.metrics != nullptr) {
     obs::Registry& reg = *options.client.metrics;
     namespace n = obs::names;
@@ -42,25 +38,20 @@ ShardedStoreClient::ShardedStoreClient(sim::Simulator& simulator,
   }
 }
 
-void ShardedStoreClient::touch(KeyId key) {
-  const std::size_t before = touched_.size();
-  touched_.entry(key) = 1;
-  if (touched_.size() != before && keys_gauge_ != nullptr) {
-    keys_gauge_->add(1.0);
-  }
-}
-
 void ShardedStoreClient::get(KeyId key, QuorumRegisterClient::ReadCallback cb) {
-  touch(key);
   if (gets_ != nullptr) gets_->inc();
+  const std::size_t before = keys_touched();
   client_.read(key, std::move(cb));
+  // The op created the key's client record iff the table grew.
+  if (keys_gauge_ != nullptr && keys_touched() != before) keys_gauge_->add(1);
 }
 
 void ShardedStoreClient::put(KeyId key, Value value,
                              QuorumRegisterClient::WriteCallback cb) {
-  touch(key);
   if (puts_ != nullptr) puts_->inc();
+  const std::size_t before = keys_touched();
   client_.write(key, std::move(value), std::move(cb));
+  if (keys_gauge_ != nullptr && keys_touched() != before) keys_gauge_->add(1);
 }
 
 }  // namespace pqra::core::keyspace

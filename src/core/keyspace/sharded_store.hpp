@@ -7,10 +7,10 @@
 /// run independently per key (docs/SHARDING.md): get/put on KeyId k resolve
 /// k's n-replica group through the consistent-hash ring and run §4's
 /// read/write protocol against a quorum sampled *inside that group*.  All
-/// per-register client state — writer timestamps, the §6.2 monotone cache,
-/// staleness tracking — is already keyed by register id in
-/// QuorumRegisterClient, and a key IS a register (net::KeyId), so the
-/// facade adds only the ring resolution (via ClientOptions::ring), the
+/// per-register client state — writer timestamp, the §6.2 monotone cache,
+/// staleness tracking — is QuorumRegisterClient's one record per register
+/// (core::KeyState), and a key IS a register (net::KeyId), so the facade
+/// adds only the ring resolution (via ClientOptions::ring), the
 /// single-writer-per-key discipline, and store-level metrics.
 ///
 /// ε-intersection is a *per-key* guarantee in this regime: two quorums of
@@ -18,9 +18,8 @@
 /// probability bound over n = group size, independent of cluster size or of
 /// any other key's traffic (docs/SHARDING.md works the numbers).
 
-#include <cstdint>
+#include <cstddef>
 
-#include "core/keyspace/flat_table.hpp"
 #include "core/keyspace/hash_ring.hpp"
 #include "core/quorum_register_client.hpp"
 
@@ -37,7 +36,7 @@ class ShardedStoreClient {
  public:
   /// \p ring must outlive the store; \p quorums must be sized to one
   /// replica group (quorums.num_servers() == replicas per key <=
-  /// ring.num_nodes()).
+  /// ring.num_nodes(), which QuorumRegisterClient checks).
   ShardedStoreClient(sim::Simulator& simulator, net::Transport& transport,
                      NodeId self, const HashRing& ring,
                      const quorum::QuorumSystem& quorums, const util::Rng& rng,
@@ -53,22 +52,12 @@ class ShardedStoreClient {
   void put(KeyId key, Value value, QuorumRegisterClient::WriteCallback cb);
 
   /// Distinct keys this client has touched (gets + puts).
-  std::size_t keys_touched() const { return touched_.size(); }
+  std::size_t keys_touched() const { return client_.keys_touched(); }
 
   const ClientCounters& counters() const { return client_.counters(); }
-  Timestamp last_written_ts(KeyId key) const {
-    return client_.last_written_ts(key);
-  }
   NodeId id() const { return client_.id(); }
 
-  /// The per-key protocol client, for latency stats and advanced use.
-  QuorumRegisterClient& register_client() { return client_; }
-
  private:
-  void touch(KeyId key);
-
-  std::size_t replicas_per_key_;
-  FlatTable<std::uint8_t> touched_;
   obs::Counter* gets_ = nullptr;
   obs::Counter* puts_ = nullptr;
   obs::Gauge* keys_gauge_ = nullptr;

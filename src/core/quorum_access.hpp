@@ -11,6 +11,8 @@
 /// here.  QuorumAccess is sans-I/O — a plain struct with no virtuals,
 /// callbacks, clock or transport: the driver feeds it acks and asks it
 /// questions, and keeps sending, retry timing and deadlines to itself.
+/// KeyState is the other thing both clients share: what they remember per
+/// register between accesses.
 
 #include <algorithm>
 #include <cstddef>
@@ -20,6 +22,18 @@
 #include "core/register_types.hpp"
 
 namespace pqra::core {
+
+/// A client's per-register local variables (§4, §6.2), one record per
+/// register it has issued an operation on, kept in a keyspace::FlatTable.
+struct KeyState {
+  /// Last timestamp this client wrote (0 if none).
+  Timestamp write_ts = 0;
+  /// Newest timestamp this client has read or written, so the staleness
+  /// depth of a read is measurable with or without the monotone cache.
+  Timestamp max_seen_ts = 0;
+  /// The §6.2 monotone cache entry (serve_monotone below).
+  TimestampedValue cached;
+};
 
 struct QuorumAccess {
   /// Distinct acks that complete the current phase (its quorum size).

@@ -192,6 +192,7 @@ void QuorumRegisterClient::start_op(OpId op, PendingOp& pending) {
 void QuorumRegisterClient::read(RegisterId reg, ReadCallback cb) {
   PQRA_REQUIRE(static_cast<bool>(cb), "read needs a callback");
   OpId op = next_op_++;
+  keys_.entry(reg);  // the register's record, probed again on completion
   PendingOp& pending = emplace_pending(op, Phase::kRead, reg);
   pending.read_cb = std::move(cb);
   if (history_ != nullptr) {
@@ -216,6 +217,7 @@ void QuorumRegisterClient::read_snapshot(std::vector<RegisterId> regs,
   PendingOp& pending = emplace_pending(op, Phase::kRead, net::kAllRegisters);
   pending.is_snapshot = true;
   pending.snap_cb = std::move(cb);
+  for (RegisterId reg : regs) keys_.entry(reg);
   if (history_ != nullptr) {
     pending.snap_hists.reserve(regs.size());
     for (RegisterId reg : regs) {
@@ -232,7 +234,7 @@ void QuorumRegisterClient::write(RegisterId reg, Value value,
                                  WriteCallback cb) {
   PQRA_REQUIRE(static_cast<bool>(cb), "write needs a callback");
   OpId op = next_op_++;
-  Timestamp ts = ++write_ts_.entry(reg);
+  Timestamp ts = ++keys_.entry(reg).write_ts;
   PendingOp& pending = emplace_pending(op, Phase::kWrite, reg);
   pending.write_cb = std::move(cb);
   pending.write_ts = ts;
@@ -253,6 +255,7 @@ void QuorumRegisterClient::write_tagged(RegisterId reg, Value value,
   PQRA_REQUIRE(self_ <= kWriterMask,
                "the client's NodeId is its writer id and must fit in 16 bits");
   OpId op = next_op_++;
+  keys_.entry(reg);
   PendingOp& pending = emplace_pending(op, Phase::kTagQuery, reg);
   pending.write_cb = std::move(cb);
   pending.write_value = std::move(value);
@@ -267,11 +270,11 @@ void QuorumRegisterClient::send_to_quorum(OpId op, PendingOp& pending) {
   // so the steady-state access path allocates nothing here.
   quorums_.pick(kind, rng_, quorum_scratch_);
   if (options_.ring != nullptr) {
-    // Sharded mode: ServerIds index the key's replica group, resolved once
-    // per access (the retry path re-resolves, which is what lets a retried
-    // op survive ring membership edits mid-run — the cache inside
-    // resolve_group invalidates on membership version, preserving that).
-    resolve_group(pending.reg);
+    // Sharded mode: ServerIds index the key's replica group, resolved on
+    // every access, so a retry after a ring membership edit reaches the
+    // key's new group.
+    options_.ring->replica_group(pending.reg, quorums_.num_servers(),
+                                 group_scratch_);
   }
   fanout_scratch_.clear();
   for (quorum::ServerId s : quorum_scratch_) {
@@ -314,31 +317,6 @@ void QuorumRegisterClient::send_to_quorum(OpId op, PendingOp& pending) {
   if (options_.retry.rpc_timeout.has_value()) {
     arm_retry(op, pending.attempt);
   }
-}
-
-void QuorumRegisterClient::resolve_group(RegisterId reg) {
-  const keyspace::HashRing& ring = *options_.ring;
-  const std::size_t n = quorums_.num_servers();
-  if (n > kGroupCacheMax) {
-    ring.replica_group(reg, n, group_scratch_);
-    return;
-  }
-  if (group_cache_version_ != ring.version()) {
-    // Membership edit since the last resolution: every cached group is
-    // suspect, drop them all.
-    group_cache_ = {};
-    group_cache_version_ = ring.version();
-  }
-  CachedGroup& cached = group_cache_.entry(reg);
-  if (cached.count == 0) {
-    ring.replica_group(reg, n, group_scratch_);
-    cached.count = static_cast<std::uint8_t>(group_scratch_.size());
-    std::copy(group_scratch_.begin(), group_scratch_.end(),
-              cached.nodes.begin());
-    return;
-  }
-  group_scratch_.assign(cached.nodes.begin(),
-                        cached.nodes.begin() + cached.count);
 }
 
 void QuorumRegisterClient::arm_retry(OpId op, std::uint32_t attempt) {
@@ -497,7 +475,7 @@ void QuorumRegisterClient::on_message(NodeId from, net::Message msg) {
       // issued: the query can miss its own past writes on probabilistic
       // quorums.
       pending.access.select_answer();
-      Timestamp& own = write_ts_.entry(pending.reg);
+      Timestamp& own = keys_.entry(pending.reg).write_ts;
       const std::uint64_t seen = unpack_tag(pending.access.best_ts).counter;
       const std::uint64_t counter = std::max(seen, unpack_tag(own).counter);
       own = pending.write_ts = pack_tag(Tag{counter + 1, self_});
@@ -522,11 +500,11 @@ void QuorumRegisterClient::complete_snapshot(OpId op, PendingOp& pending) {
     result.status = pending.status;
     result.acks = pending.access.responders.size();
     result.staleness_bound = pending.staleness_bound;
-    Timestamp& seen = max_seen_ts_.entry(reg);
+    KeyState& key = keys_.entry(reg);
+    Timestamp& seen = key.max_seen_ts;
     pending.stale_depth = seen > result.ts ? seen - result.ts : 0;
     if (options_.monotone &&
-        QuorumAccess::serve_monotone(monotone_cache_.entry(reg), result.ts,
-                                     result.value)) {
+        QuorumAccess::serve_monotone(key.cached, result.ts, result.value)) {
       result.from_monotone_cache = true;
       ++counters_.monotone_cache_hits;
       if (instruments_.cache_hits != nullptr) instruments_.cache_hits->inc();
@@ -565,13 +543,12 @@ void QuorumRegisterClient::complete_snapshot(OpId op, PendingOp& pending) {
 void QuorumRegisterClient::complete_read(OpId op, PendingOp& pending) {
   QuorumAccess& access = pending.access;
   access.select_answer();
-  {
-    // Staleness depth t is judged against the quorum's answer, before the
-    // monotone cache papers over it — the cache is the cure, not the
-    // measurement.
-    Timestamp seen = max_seen_ts_.entry(pending.reg);
-    pending.stale_depth = seen > access.best_ts ? seen - access.best_ts : 0;
-  }
+  KeyState& key = keys_.entry(pending.reg);
+  // Staleness depth t is judged against the quorum's answer, before the
+  // monotone cache papers over it — the cache is the cure, not the
+  // measurement.
+  pending.stale_depth =
+      key.max_seen_ts > access.best_ts ? key.max_seen_ts - access.best_ts : 0;
   if (pending.root_span != 0) {
     // ε-intersection outcome: which responders held the quorum's freshest
     // timestamp — judged against the raw quorum answer for the same reason
@@ -585,16 +562,13 @@ void QuorumRegisterClient::complete_read(OpId op, PendingOp& pending) {
   // The quorum may only have produced older values than this client already
   // returned; [R4] then requires re-returning the cached one (§6.2).
   if (options_.monotone &&
-      QuorumAccess::serve_monotone(monotone_cache_.entry(pending.reg),
-                                   access.best_ts, access.best_value)) {
+      QuorumAccess::serve_monotone(key.cached, access.best_ts,
+                                   access.best_value)) {
     pending.from_cache = true;
     ++counters_.monotone_cache_hits;
     if (instruments_.cache_hits != nullptr) instruments_.cache_hits->inc();
   }
-  {
-    Timestamp& seen = max_seen_ts_.entry(pending.reg);
-    if (seen < access.best_ts) seen = access.best_ts;
-  }
+  key.max_seen_ts = std::max(key.max_seen_ts, access.best_ts);
 
   if (options_.read_repair) {
     send_read_repair(pending, access.best_ts, access.best_value);
@@ -696,10 +670,8 @@ void QuorumRegisterClient::complete_write(OpId op, PendingOp& pending) {
     }
   }
   Timestamp ts = pending.write_ts;
-  {
-    Timestamp& seen = max_seen_ts_.entry(pending.reg);
-    if (seen < ts) seen = ts;
-  }
+  Timestamp& seen = keys_.entry(pending.reg).max_seen_ts;
+  seen = std::max(seen, ts);
   close_op_span(pending, span_status_of(pending.status), ts, false);
   WriteResult result;
   result.ts = ts;
@@ -712,8 +684,8 @@ void QuorumRegisterClient::complete_write(OpId op, PendingOp& pending) {
 }
 
 Timestamp QuorumRegisterClient::last_written_ts(RegisterId reg) const {
-  const Timestamp* ts = write_ts_.find(reg);
-  return ts == nullptr ? 0 : *ts;
+  const KeyState* key = keys_.find(reg);
+  return key == nullptr ? 0 : key->write_ts;
 }
 
 }  // namespace pqra::core

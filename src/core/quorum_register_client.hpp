@@ -43,7 +43,6 @@
 /// forever in that regime, which is exactly the availability gap §4
 /// describes.
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -232,6 +231,9 @@ class QuorumRegisterClient final : public net::Receiver {
   /// Last timestamp this client wrote to \p reg (0 if none).
   Timestamp last_written_ts(RegisterId reg) const;
 
+  /// Distinct registers this client has issued an operation on.
+  std::size_t keys_touched() const { return keys_.size(); }
+
  private:
   /// What the op's current quorum access does: a read or its atomic-mode
   /// write-back, a multi-writer write's tag query or an install.
@@ -369,9 +371,6 @@ class QuorumRegisterClient final : public net::Receiver {
   void erase_pending(OpId op);
 
   void send_to_quorum(OpId op, PendingOp& pending);
-  /// Fills group_scratch_ with \p reg's replica group (ring mode only),
-  /// through the version-checked group cache.
-  void resolve_group(RegisterId reg);
   void arm_retry(OpId op, std::uint32_t attempt);
   void arm_deadline(OpId op);
   void finish_deadline(OpId op, PendingOp& pending);
@@ -402,34 +401,20 @@ class QuorumRegisterClient final : public net::Receiver {
   /// Scratch for per-access quorum draws (send_to_quorum): pick() fills it
   /// in place, reusing capacity across every operation and retry.
   std::vector<quorum::ServerId> quorum_scratch_;
-  /// Scratch for the key's replica group in ring mode (same reuse contract).
+  /// Scratch for the key's replica group in ring mode (same reuse contract),
+  /// resolved through the ring on every access: one (client, key) pair
+  /// rarely repeats, so a memo of groups would mostly miss.
   std::vector<NodeId> group_scratch_;
-  /// Memoized ring resolutions, valid for one HashRing::version(): group
-  /// lookup is two binary searches plus a dedup scan per access otherwise,
-  /// and a key's group never changes between membership edits.  Only groups
-  /// of at most kGroupCacheMax nodes are cached (flat fixed-width slots).
-  static constexpr std::size_t kGroupCacheMax = 8;
-  struct CachedGroup {
-    std::array<NodeId, kGroupCacheMax> nodes{};
-    std::uint8_t count = 0;
-  };
-  keyspace::FlatTable<CachedGroup> group_cache_;
-  std::uint64_t group_cache_version_ = 0;
   /// Scratch for the fan-out target list handed to Transport::send_fanout.
   std::vector<net::FanoutEntry> fanout_scratch_;
   std::unordered_map<OpId, PendingOp> pending_;
   /// Settled-op map nodes awaiting reuse (see emplace_pending).
   std::vector<std::unordered_map<OpId, PendingOp>::node_type> pending_pool_;
-  /// The per-register tables are keyspace::FlatTables, not unordered_maps:
-  /// they sit on the ack hot path (two lookups per completed op), are never
-  /// iterated, and the flat probe sequence is allocation-free after the
-  /// amortized growth.
-  keyspace::FlatTable<Timestamp> write_ts_;
-  keyspace::FlatTable<TimestampedValue> monotone_cache_;
-  /// Newest timestamp this client has seen per register (reads and own
-  /// writes), independent of the monotone cache so staleness depth is
-  /// measurable for plain clients too.
-  keyspace::FlatTable<Timestamp> max_seen_ts_;
+  /// One record per register, created when an operation on it is issued
+  /// and probed once more when it completes.  A FlatTable, not an
+  /// unordered_map: it is never iterated, and its probe sequence is
+  /// allocation-free after the amortized growth.
+  keyspace::FlatTable<KeyState> keys_;
   ClientCounters counters_;
   Instruments instruments_;
   util::OnlineStats read_latency_;

@@ -1,10 +1,37 @@
 #include "core/spec/batch.hpp"
 
 #include <algorithm>
-#include <utility>
 #include <vector>
 
 namespace pqra::core::spec {
+
+namespace {
+
+/// Runs each rule \p options selects over \p records, in Rule order, into
+/// \p out, and hands every outcome to \p on_outcome.  The regular and
+/// atomic checks, which keep their maps, read \p copy: the same records by
+/// value.
+template <typename OnOutcome>
+void run_rules(const BatchOptions& options, RecordSpan records,
+               const std::vector<OpRecord>& copy, CheckScratch& scratch,
+               CheckResult& out, OnOutcome&& on_outcome) {
+  const auto run_one = [&](bool selected, Rule rule, auto&& check_fn) {
+    if (!selected) return;
+    out.ok = true;
+    out.violations.clear();  // keeps the capacity
+    check_fn();
+    on_outcome(rule, out);
+  };
+  run_one(options.r1, Rule::kR1, [&] { check_r1(records, out); });
+  run_one(options.r2, Rule::kR2, [&] { check_r2(records, scratch, out); });
+  run_one(options.r4, Rule::kR4, [&] { check_r4(records, scratch, out); });
+  run_one(options.single_writer, Rule::kSingleWriter,
+          [&] { check_single_writer(records, scratch, out); });
+  run_one(options.regular, Rule::kRegular, [&] { out = check_regular(copy); });
+  run_one(options.atomic, Rule::kAtomic, [&] { out = check_atomic(copy); });
+}
+
+}  // namespace
 
 const char* rule_id(Rule rule) {
   switch (rule) {
@@ -68,19 +95,13 @@ std::size_t BatchResult::num_violations() const {
 
 BatchResult check_batch(const std::vector<OpRecord>& ops,
                         const BatchOptions& options) {
+  CheckScratch scratch;
+  CheckResult out;
   BatchResult result;
-  if (options.r1) result.outcomes.push_back({Rule::kR1, check_r1(ops)});
-  if (options.r2) result.outcomes.push_back({Rule::kR2, check_r2(ops)});
-  if (options.r4) result.outcomes.push_back({Rule::kR4, check_r4(ops)});
-  if (options.single_writer) {
-    result.outcomes.push_back({Rule::kSingleWriter, check_single_writer(ops)});
-  }
-  if (options.regular) {
-    result.outcomes.push_back({Rule::kRegular, check_regular(ops)});
-  }
-  if (options.atomic) {
-    result.outcomes.push_back({Rule::kAtomic, check_atomic(ops)});
-  }
+  run_rules(options, record_pointers(ops), ops, scratch, out,
+            [&](Rule rule, const CheckResult& r) {
+              result.outcomes.push_back({rule, r});
+            });
   return result;
 }
 
@@ -116,32 +137,31 @@ KeyedBatchResult check_batch_by_key(const std::vector<OpRecord>& ops,
   const bool dense =
       static_cast<std::size_t>(max_reg) <= 4 * ops.size() + 1024;
 
-  std::vector<std::size_t> start;
   std::vector<const OpRecord*> sorted(ops.size());
   if (dense) {
-    start.assign(static_cast<std::size_t>(max_reg) + 2, 0);
+    std::vector<std::size_t> start(static_cast<std::size_t>(max_reg) + 2, 0);
     for (const OpRecord& op : ops) ++start[op.reg + 1];
     for (std::size_t k = 1; k < start.size(); ++k) start[k] += start[k - 1];
-    std::vector<std::size_t> cursor = start;
-    for (const OpRecord& op : ops) sorted[cursor[op.reg]++] = &op;
+    for (const OpRecord& op : ops) sorted[start[op.reg]++] = &op;
   } else {
-    for (std::size_t k = 0; k < ops.size(); ++k) sorted[k] = &ops[k];
+    sorted = record_pointers(ops);
     std::stable_sort(sorted.begin(), sorted.end(),
                      [](const OpRecord* a, const OpRecord* b) {
                        return a->reg < b->reg;
                      });
   }
 
+  // One scratch and one rule result serve every key, so a key that passes
+  // allocates nothing; a key's records are copied out only for the regular
+  // and atomic checks, which take them by value.
   KeyedBatchResult result;
+  CheckScratch scratch;
+  CheckResult outcome;
   std::vector<OpRecord> key_ops;
   for (std::size_t i = 0; i < sorted.size();) {
     const RegisterId reg = sorted[i]->reg;
     std::size_t j = i;
-    if (dense) {
-      j = start[reg + 1];
-    } else {
-      while (j < sorted.size() && sorted[j]->reg == reg) ++j;
-    }
+    while (j < sorted.size() && sorted[j]->reg == reg) ++j;
     ++result.keys_checked;
     // A key whose entire history is one completed write (typically the
     // preloaded initial of a never-touched key) passes every rule
@@ -152,22 +172,19 @@ KeyedBatchResult check_batch_by_key(const std::vector<OpRecord>& ops,
       i = j;
       continue;
     }
+    const RecordSpan records(sorted.data() + i, j - i);
     key_ops.clear();
-    key_ops.reserve(j - i);
-    for (std::size_t k = i; k < j; ++k) key_ops.push_back(*sorted[k]);
-    const BatchResult batch = check_batch(key_ops, options);
-    result.num_violations += batch.num_violations();
-    if (!result.first.has_value()) {
-      if (const RuleOutcome* failure = batch.first_failure()) {
-        KeyedFirstFailure first;
-        first.rule = failure->rule;
-        first.key = reg;
-        first.violation = failure->result.violations.empty()
-                              ? "(no detail)"
-                              : failure->result.violations[0];
-        result.first = std::move(first);
-      }
+    if (options.regular || options.atomic) {
+      for (const OpRecord* op : records) key_ops.push_back(*op);
     }
+    run_rules(options, records, key_ops, scratch, outcome,
+              [&](Rule rule, const CheckResult& r) {
+                result.num_violations += r.violations.size();
+                if (r.ok || result.first.has_value()) return;
+                result.first = KeyedFirstFailure{
+                    rule, reg,
+                    r.violations.empty() ? "(no detail)" : r.violations[0]};
+              });
     i = j;
   }
   return result;

@@ -3,28 +3,12 @@
 #include <algorithm>
 #include <map>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 namespace pqra::core::spec {
 
 namespace {
-
-/// Key for per-register write lookup.  Several writes may share a key:
-/// contended keys (writers-per-key > 1) have independent per-writer
-/// timestamp counters, so (reg, ts) is only unique in single-writer
-/// histories.
-using WriteKey = std::pair<RegisterId, Timestamp>;
-
-std::map<WriteKey, std::vector<const OpRecord*>> index_writes(
-    const std::vector<OpRecord>& ops) {
-  std::map<WriteKey, std::vector<const OpRecord*>> writes;
-  for (const OpRecord& op : ops) {
-    if (op.kind == OpKind::kWrite) {
-      writes[{op.reg, op.ts}].push_back(&op);
-    }
-  }
-  return writes;
-}
 
 std::string describe_op(const OpRecord& op) {
   std::ostringstream os;
@@ -34,6 +18,15 @@ std::string describe_op(const OpRecord& op) {
   return os.str();
 }
 
+/// A RecordSpan check run over a whole history.
+template <void (*Check)(RecordSpan, CheckScratch&, CheckResult&)>
+CheckResult over_history(const std::vector<OpRecord>& ops) {
+  CheckResult result;
+  CheckScratch scratch;
+  Check(record_pointers(ops), scratch, result);
+  return result;
+}
+
 }  // namespace
 
 void CheckResult::fail(std::string message) {
@@ -41,92 +34,137 @@ void CheckResult::fail(std::string message) {
   violations.push_back(std::move(message));
 }
 
-CheckResult check_r1(const std::vector<OpRecord>& ops) {
-  CheckResult result;
-  for (const OpRecord& op : ops) {
-    if (!op.responded) {
-      result.fail("[R1] unresponded operation: " + describe_op(op));
-    }
-  }
-  return result;
+std::vector<const OpRecord*> record_pointers(const std::vector<OpRecord>& ops) {
+  std::vector<const OpRecord*> out;
+  out.reserve(ops.size());
+  for (const OpRecord& op : ops) out.push_back(&op);
+  return out;
 }
 
-CheckResult check_r2(const std::vector<OpRecord>& ops) {
-  CheckResult result;
-  auto writes = index_writes(ops);
-  for (const OpRecord& op : ops) {
-    if (op.kind != OpKind::kRead || !op.responded) continue;
-    auto it = writes.find({op.reg, op.ts});
-    if (it == writes.end()) {
-      result.fail("[R2] read returned a never-written timestamp: " +
-                  describe_op(op));
+void check_r1(RecordSpan ops, CheckResult& out) {
+  for (const OpRecord* op : ops) {
+    if (!op->responded) {
+      out.fail("[R1] unresponded operation: " + describe_op(*op));
+    }
+  }
+}
+
+void check_r2(RecordSpan ops, CheckScratch& scratch, CheckResult& out) {
+  // Writes by (reg, ts), record order within a pair, so a read's candidate
+  // sources are one equal range.  A pair may have several: contended keys
+  // (writers-per-key > 1) have independent per-writer timestamp counters.
+  std::vector<const OpRecord*>& writes = scratch.sorted;
+  writes.clear();
+  for (const OpRecord* op : ops) {
+    if (op->kind == OpKind::kWrite) writes.push_back(op);
+  }
+  std::sort(writes.begin(), writes.end(),
+            [](const OpRecord* a, const OpRecord* b) {
+              return std::tie(a->reg, a->ts, a) < std::tie(b->reg, b->ts, b);
+            });
+  for (const OpRecord* op : ops) {
+    if (op->kind != OpKind::kRead || !op->responded) continue;
+    const auto [first, last] = std::equal_range(
+        writes.begin(), writes.end(), op,
+        [](const OpRecord* a, const OpRecord* b) {
+          return std::tie(a->reg, a->ts) < std::tie(b->reg, b->ts);
+        });
+    if (first == last) {
+      out.fail("[R2] read returned a never-written timestamp: " +
+               describe_op(*op));
       continue;
     }
     // The read is justified if at least one matching write could have been
     // its source; with duplicate (reg, ts) keys any candidate will do, so
     // only fail when every one began after the read ended (the violation
     // cites the earliest-invoking candidate — the closest miss).
-    const OpRecord* best = it->second.front();
-    for (const OpRecord* w : it->second) {
-      if (w->invoke < best->invoke) best = w;
-    }
-    if (best->invoke > op.response) {
-      result.fail("[R2] read returned a write that began after the read "
-                  "ended: " +
-                  describe_op(op) + " vs " + describe_op(*best));
+    const OpRecord* best = *std::min_element(
+        first, last, [](const OpRecord* a, const OpRecord* b) {
+          return a->invoke < b->invoke;
+        });
+    if (best->invoke > op->response) {
+      out.fail("[R2] read returned a write that began after the read "
+               "ended: " +
+               describe_op(*op) + " vs " + describe_op(*best));
     }
   }
+}
+
+void check_r4(RecordSpan ops, CheckScratch& scratch, CheckResult& out) {
+  // Responded reads by (proc, reg), then by response time, record order
+  // breaking ties between simultaneous responses (which matches delivery
+  // order in the DES).
+  std::vector<const OpRecord*>& reads = scratch.sorted;
+  reads.clear();
+  for (const OpRecord* op : ops) {
+    if (op->kind == OpKind::kRead && op->responded) reads.push_back(op);
+  }
+  std::sort(reads.begin(), reads.end(),
+            [](const OpRecord* a, const OpRecord* b) {
+              return std::tie(a->proc, a->reg, a->response, a) <
+                     std::tie(b->proc, b->reg, b->response, b);
+            });
+  Timestamp last = 0;
+  for (std::size_t i = 0; i < reads.size(); ++i) {
+    const OpRecord& op = *reads[i];
+    if (i > 0 && std::tie(op.proc, op.reg) !=
+                     std::tie(reads[i - 1]->proc, reads[i - 1]->reg)) {
+      last = 0;
+    }
+    if (op.ts < last) out.fail("[R4] read went backwards: " + describe_op(op));
+    last = std::max(last, op.ts);
+  }
+}
+
+void check_single_writer(RecordSpan ops, CheckScratch& scratch,
+                         CheckResult& out) {
+  // Writes (initials skipped) by register in record order: a write is
+  // judged against its register's previous writes.  Violations are
+  // reported in record order.
+  std::vector<const OpRecord*>& writes = scratch.sorted;
+  writes.clear();
+  for (const OpRecord* op : ops) {
+    if (op->kind == OpKind::kWrite && op->ts != 0) writes.push_back(op);
+  }
+  std::sort(writes.begin(), writes.end(),
+            [](const OpRecord* a, const OpRecord* b) {
+              return std::tie(a->reg, a) < std::tie(b->reg, b);
+            });
+  scratch.flagged.clear();
+  Timestamp max_ts = 0;
+  for (std::size_t i = 0; i < writes.size(); ++i) {
+    const OpRecord* w = writes[i];
+    const bool first = i == 0 || writes[i - 1]->reg != w->reg;
+    if (!first && writes[i - 1]->proc != w->proc) {
+      scratch.flagged.emplace_back(w, 0);
+    }
+    if (!first && w->ts <= max_ts) scratch.flagged.emplace_back(w, 1);
+    max_ts = first ? w->ts : std::max(max_ts, w->ts);
+  }
+  std::sort(scratch.flagged.begin(), scratch.flagged.end());
+  for (const auto& [w, rule] : scratch.flagged) {
+    out.fail((rule == 0 ? "[SW] second writer for register: "
+                        : "[SW] non-increasing write timestamp: ") +
+             describe_op(*w));
+  }
+}
+
+CheckResult check_r1(const std::vector<OpRecord>& ops) {
+  CheckResult result;
+  check_r1(record_pointers(ops), result);
   return result;
+}
+
+CheckResult check_r2(const std::vector<OpRecord>& ops) {
+  return over_history<check_r2>(ops);
 }
 
 CheckResult check_r4(const std::vector<OpRecord>& ops) {
-  CheckResult result;
-  // Collect responded reads, sort by response time (stable on record order
-  // for simultaneous responses, which matches delivery order in the DES).
-  std::map<std::pair<NodeId, RegisterId>, std::vector<const OpRecord*>> reads;
-  for (const OpRecord& op : ops) {
-    if (op.kind == OpKind::kRead && op.responded) {
-      reads[{op.proc, op.reg}].push_back(&op);
-    }
-  }
-  for (auto& [key, list] : reads) {
-    std::stable_sort(list.begin(), list.end(),
-                     [](const OpRecord* a, const OpRecord* b) {
-                       return a->response < b->response;
-                     });
-    Timestamp last = 0;
-    for (const OpRecord* op : list) {
-      if (op->ts < last) {
-        result.fail("[R4] read went backwards: " + describe_op(*op));
-      }
-      last = std::max(last, op->ts);
-    }
-  }
-  return result;
+  return over_history<check_r4>(ops);
 }
 
 CheckResult check_single_writer(const std::vector<OpRecord>& ops) {
-  CheckResult result;
-  struct WriterState {
-    bool seen = false;
-    NodeId proc = 0;
-    Timestamp max_ts = 0;
-  };
-  std::map<RegisterId, WriterState> writers;
-  for (const OpRecord& op : ops) {
-    if (op.kind != OpKind::kWrite || op.ts == 0) continue;  // skip initials
-    WriterState& w = writers[op.reg];
-    if (w.seen && w.proc != op.proc) {
-      result.fail("[SW] second writer for register: " + describe_op(op));
-    }
-    if (w.seen && op.ts <= w.max_ts) {
-      result.fail("[SW] non-increasing write timestamp: " + describe_op(op));
-    }
-    w.seen = true;
-    w.proc = op.proc;
-    w.max_ts = std::max(w.max_ts, op.ts);
-  }
-  return result;
+  return over_history<check_single_writer>(ops);
 }
 
 CheckResult check_regular(const std::vector<OpRecord>& ops) {
@@ -186,16 +224,13 @@ CheckResult check_atomic(const std::vector<OpRecord>& ops) {
 
 CheckResult check_random_register(const std::vector<OpRecord>& ops,
                                   bool monotone) {
+  const std::vector<const OpRecord*> records = record_pointers(ops);
+  CheckScratch scratch;
   CheckResult merged;
-  for (const CheckResult& r :
-       {check_r1(ops), check_r2(ops), check_single_writer(ops),
-        monotone ? check_r4(ops) : CheckResult{}}) {
-    if (!r.ok) {
-      merged.ok = false;
-      merged.violations.insert(merged.violations.end(), r.violations.begin(),
-                               r.violations.end());
-    }
-  }
+  check_r1(records, merged);
+  check_r2(records, scratch, merged);
+  check_single_writer(records, scratch, merged);
+  if (monotone) check_r4(records, scratch, merged);
   return merged;
 }
 

@@ -723,27 +723,4 @@ void LiveFaultDriver::run(FaultPlan plan, double scale) {
   }
 }
 
-std::size_t FaultPlan::max_concurrent_down(std::size_t num_servers) const {
-  std::vector<Event> sorted = events_;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const Event& a, const Event& b) { return a.at < b.at; });
-  std::vector<bool> down(num_servers, false);
-  std::size_t current = 0, worst = 0;
-  for (const Event& ev : sorted) {
-    // Key-addressed targets have no node identity until resolve_keys();
-    // callers that care run this on the resolved plan.
-    if (ev.node_is_key) continue;
-    if (ev.node >= num_servers) continue;
-    if (ev.kind == FaultKind::kCrash && !down[ev.node]) {
-      down[ev.node] = true;
-      ++current;
-    } else if (ev.kind == FaultKind::kRecover && down[ev.node]) {
-      down[ev.node] = false;
-      --current;
-    }
-    worst = std::max(worst, current);
-  }
-  return worst;
-}
-
 }  // namespace pqra::net

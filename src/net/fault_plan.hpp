@@ -167,9 +167,6 @@ class FaultPlan {
 
   friend bool operator==(const FaultPlan&, const FaultPlan&) = default;
 
-  /// Largest number of servers in [0, num_servers) simultaneously down.
-  std::size_t max_concurrent_down(std::size_t num_servers) const;
-
  private:
   std::vector<Event> events_;
   MessageFaults message_faults_;

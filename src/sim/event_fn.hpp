@@ -20,14 +20,13 @@
 ///     counted, so "zero allocations per event" is a number a test can
 ///     assert (see EventArena::Stats and Simulator::alloc_stats()).
 ///
-/// EventFn is move-only and single-shot in spirit: the event queue builds
-/// each callback into a slot with emplace(), the simulator invokes it there
-/// once and reset()s it, and neither moves it.  Invocation does not consume
-/// it.
+/// EventFn is neither copyable nor movable: the event queue builds each
+/// callback into a slot with emplace(), the simulator invokes it there once
+/// and reset()s it, and nothing ever relocates it.  Invocation does not
+/// consume it.
 
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -126,7 +125,7 @@ class EventArena {
   Stats stats_;
 };
 
-/// Move-only `void()` callable with a 72-byte inline buffer; captures that
+/// Immovable `void()` callable with a 72-byte inline buffer; captures that
 /// do not fit are stored in EventArena blocks.  See the file comment for the
 /// storage contract.
 class EventFn {
@@ -139,13 +138,12 @@ class EventFn {
   static constexpr std::size_t kInlineBytes = 72;
 
   /// True when a callable of type \p F is stored inside the event: it fits
-  /// kInlineBytes, needs no more than pointer alignment and moves without
-  /// throwing.  Anything else goes to the arena.
+  /// kInlineBytes and needs no more than pointer alignment.  Anything else
+  /// goes to the arena.
   template <typename F>
   static constexpr bool fits_inline() {
     using Fn = std::decay_t<F>;
-    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(void*) &&
-           std::is_nothrow_move_constructible_v<Fn>;
+    return sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(void*);
   }
 
   EventFn() noexcept : vt_(nullptr) {}
@@ -184,16 +182,6 @@ class EventFn {
     }
   }
 
-  EventFn(EventFn&& other) noexcept { steal(other); }
-
-  EventFn& operator=(EventFn&& other) noexcept {
-    if (this != &other) {
-      reset();
-      steal(other);
-    }
-    return *this;
-  }
-
   EventFn(const EventFn&) = delete;
   EventFn& operator=(const EventFn&) = delete;
 
@@ -217,31 +205,18 @@ class EventFn {
     EventArena* arena;
   };
 
-  /// Every entry takes the address of store_, so neither invoking nor
+  /// Both entries take the address of store_, so neither invoking nor
   /// destroying asks where the capture lives.
   struct VTable {
     void (*invoke)(void* store);
-    /// Move-construct at `to` from `from`, destroy `from`.  nullptr means
-    /// the stored bytes relocate with a memcpy of `bytes`: a trivially
-    /// copyable inline capture, or the pointer pair of an external one.
-    void (*relocate)(void* from, void* to);
     void (*destroy)(void* store);
-    std::size_t bytes;
   };
 
   template <typename Fn>
   static const VTable* inline_vtable() {
     static constexpr VTable vt{
         [](void* store) { (*static_cast<Fn*>(store))(); },
-        std::is_trivially_copyable_v<Fn>
-            ? nullptr
-            : +[](void* from, void* to) {
-                auto* src = static_cast<Fn*>(from);
-                ::new (to) Fn(std::move(*src));
-                src->~Fn();
-              },
         [](void* store) { static_cast<Fn*>(store)->~Fn(); },
-        sizeof(Fn),
     };
     return &vt;
   }
@@ -252,26 +227,13 @@ class EventFn {
         [](void* store) {
           (*static_cast<Fn*>(static_cast<External*>(store)->ptr))();
         },
-        nullptr,  // external storage relocates by pointer copy, never by move
         [](void* store) {
           const External ext = *static_cast<External*>(store);
           static_cast<Fn*>(ext.ptr)->~Fn();
           ext.arena->deallocate(ext.ptr, sizeof(Fn));
         },
-        sizeof(External),
     };
     return &vt;
-  }
-
-  void steal(EventFn& other) noexcept {
-    vt_ = other.vt_;
-    if (vt_ == nullptr) return;
-    if (vt_->relocate == nullptr) {
-      std::memcpy(static_cast<void*>(&store_), &other.store_, vt_->bytes);
-    } else {
-      vt_->relocate(&other.store_, &store_);
-    }
-    other.vt_ = nullptr;
   }
 
   union Store {

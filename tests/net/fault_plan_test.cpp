@@ -41,15 +41,6 @@ TEST(FaultPlanTest, InstallDrivesCrashAndRecovery) {
   EXPECT_EQ(rx1.received, 2);
 }
 
-TEST(FaultPlanTest, MaxConcurrentDownComputesOverlap) {
-  FaultPlan plan;
-  plan.outage(0, 1.0, 5.0);   // down [1, 6)
-  plan.outage(1, 3.0, 5.0);   // down [3, 8)
-  plan.outage(2, 10.0, 1.0);  // down [10, 11)
-  EXPECT_EQ(plan.max_concurrent_down(3), 2u);
-  EXPECT_EQ(plan.max_concurrent_down(1), 1u);  // only server 0 considered
-}
-
 TEST(FaultPlanTest, RandomChurnProducesPairedEvents) {
   util::Rng rng(7);
   FaultPlan plan = FaultPlan::random_churn(10, 100.0, 20.0, 5.0, rng);

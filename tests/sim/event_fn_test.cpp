@@ -9,7 +9,6 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,25 +34,6 @@ TEST(EventFn, SmallCaptureStoresInlineAndInvokes) {
 TEST(EventFn, DefaultConstructedIsEmpty) {
   EventFn fn;
   EXPECT_FALSE(static_cast<bool>(fn));
-}
-
-TEST(EventFn, MoveTransfersOwnershipForNonTrivialCapture) {
-  EventArena arena;
-  auto shared = std::make_shared<int>(0);
-  EventFn a([shared] { ++*shared; }, arena);
-  EXPECT_EQ(shared.use_count(), 2);
-
-  EventFn b(std::move(a));
-  EXPECT_FALSE(static_cast<bool>(a));
-  EXPECT_EQ(shared.use_count(), 2) << "move must not duplicate the capture";
-  b();
-  EXPECT_EQ(*shared, 1);
-
-  EventFn c;
-  c = std::move(b);
-  EXPECT_FALSE(static_cast<bool>(b));
-  c();
-  EXPECT_EQ(*shared, 2);
 }
 
 TEST(EventFn, DestructionReleasesCapture) {
@@ -143,25 +123,6 @@ TEST(EventFn, OversizeCaptureFallsBackToHeapAndIsCounted) {
   EXPECT_EQ(hits, 1);
   EXPECT_EQ(arena.stats().oversize_events, 1u);
   EXPECT_EQ(arena.stats().blocks_live, 0u);
-}
-
-TEST(EventFn, ExternalStorageMovesByPointerSwap) {
-  EventArena arena;
-  struct Medium {
-    std::array<std::byte, EventFn::kInlineBytes + 8> payload{};
-    int* counter = nullptr;
-    void operator()() { ++*counter; }
-  };
-  int hits = 0;
-  Medium m;
-  m.counter = &hits;
-  EventFn a(m, arena);
-  EXPECT_EQ(arena.stats().blocks_live, 1u);
-  EventFn b(std::move(a));
-  EXPECT_EQ(arena.stats().blocks_live, 1u)
-      << "relocating an external event must not touch the arena";
-  b();
-  EXPECT_EQ(hits, 1);
 }
 
 // End-to-end: a workload of typical simulator closures performs zero heap

@@ -80,9 +80,7 @@ TEST(CalendarQueue, SameTimestampFifoAcrossBucketBoundaries) {
 TEST(CalendarQueue, ScheduleDuringFireReentrancy) {
   Simulator sim;
   std::vector<int> order;
-  // Not const: a const member would make the closure's move a copy that may
-  // throw, and EventFn keeps only nothrow-movable captures inline.
-  std::vector<int> capture{7, 8, 9};
+  const std::vector<int> capture{7, 8, 9};
   sim.schedule_at(10.0, [&sim, &order, capture] {
     order.push_back(0);
     for (int i = 0; i < 10000; ++i) sim.schedule_at(20.0, [] {});
