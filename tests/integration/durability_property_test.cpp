@@ -123,6 +123,36 @@ TEST(DurabilityBaselineTest, PreDurabilityFingerprintsAreUnchanged) {
   }
 }
 
+// One digest per sweep mode over seeds 0–199, folding each run's
+// fingerprint, event count, op count, verdict and rule: the plain sweep,
+// and the --force-multikey and --force-durable sweeps through the CLI's own
+// transforms.  The smokes only ask that no violation occurs; these ask that
+// every schedule is the one it was, so a change that moves a sharded or
+// durable schedule cannot pass unnoticed.
+std::uint64_t sweep_digest(ScheduleProfile (*transform)(ScheduleProfile)) {
+  std::uint64_t h = 1469598103934665603ULL;
+  const auto mix = [&h](std::uint64_t x) {
+    h = (h ^ x) * 1099511628211ULL;
+  };
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    const RunOutcome out =
+        run_profile(transform(ScheduleProfile::from_seed(seed)));
+    mix(out.fingerprint);
+    mix(out.events_processed);
+    mix(out.ops_checked);
+    mix(out.violation ? 1 : 0);
+    for (const char ch : out.rule) mix(static_cast<unsigned char>(ch));
+  }
+  return h;
+}
+
+TEST(DurabilityBaselineTest, SweepDigestsAreUnchanged) {
+  EXPECT_EQ(sweep_digest([](ScheduleProfile p) { return p; }),
+            1744906470251754952ULL);
+  EXPECT_EQ(sweep_digest(force_multikey), 5976991721541680365ULL);
+  EXPECT_EQ(sweep_digest(force_durable), 2261052708221144134ULL);
+}
+
 // With durability ON but no storage faults, the durable layer adds zero
 // simulator events and draws nothing: the run is byte-identical to its
 // non-durable twin.  (Seeds 2–4 are direct-workload seeds; alg1 profiles

@@ -69,66 +69,10 @@ struct CliOptions {
   bool force_durable = false;
 };
 
-/// The --force-multikey transform: a pure function of the profile's seed
-/// (dedicated stream 3; from_seed uses 1 and 2), so sweeps stay
-/// reproducible and --jobs-invariant.  alg1 profiles are left alone — the
-/// iterative scenario owns its register layout.
-ScheduleProfile force_multikey(ScheduleProfile p) {
-  if (p.alg1) return p;
-  pqra::util::Rng mk = pqra::util::Rng(p.seed).fork(3);
-  if (p.keys_per_client < 2) {
-    p.keys_per_client = 2 + static_cast<std::size_t>(mk.below(15));
-  }
-  if (p.key_skew == 0.0 && mk.bernoulli(0.5)) {
-    p.key_skew = 0.6 + 0.39 * mk.uniform01();
-  }
-  if (p.replicas == 0 && mk.bernoulli(0.7)) {
-    p.replicas = p.quorum_size + static_cast<std::size_t>(mk.below(
-                     p.num_servers - p.quorum_size + 1));
-    p.ring_vnodes = 4 + static_cast<std::size_t>(mk.below(13));
-  }
-  // Sharded stores have no whole-store snapshot read.
-  if (p.replicas > 0) p.snapshot_reads = false;
-  return p;
-}
-
-/// The --force-durable transform: a pure function of the profile's seed
-/// (dedicated stream 4; from_seed uses 1 and 2, --force-multikey uses 3).
-/// Makes the run durable, draws a checkpoint cadence, and lands at least
-/// one durability fault edit so the crash-replay-compare oracle always has
-/// torn/lost syncs to chew on.  alg1 profiles are left alone.
-ScheduleProfile force_durable(ScheduleProfile p) {
-  if (p.alg1) return p;
-  pqra::util::Rng d = pqra::util::Rng(p.seed).fork(4);
-  p.durable = true;
-  p.snapshot_every = std::size_t{4} << d.below(5);  // 4..64
-  const std::size_t fault_keys = p.keys_per_client > 1 ? p.num_keys() : 0;
-  const std::size_t extra = static_cast<std::size_t>(d.below(3));
-  for (std::size_t i = 0; i < 1 + extra; ++i) {
-    // Durability-only edits: loop until the mutate draw lands in the
-    // durability case so every sweep seed actually exercises the storage
-    // fault machinery (the general-purpose edits already ran in from_seed).
-    const std::size_t before = p.faults.events().size();
-    while (p.faults.events().size() == before) {
-      pqra::net::FaultPlan probe_plan = p.faults;
-      probe_plan.mutate(p.num_servers, p.horizon, d, fault_keys,
-                        /*durability=*/true);
-      if (probe_plan.events().size() > before &&
-          (probe_plan.events().back().kind == pqra::net::FaultKind::kTornWrite ||
-           probe_plan.events().back().kind == pqra::net::FaultKind::kFsyncLoss ||
-           probe_plan.events().back().kind ==
-               pqra::net::FaultKind::kClearFsyncLoss)) {
-        p.faults = std::move(probe_plan);
-      }
-    }
-  }
-  return p;
-}
-
 ScheduleProfile profile_for(std::uint64_t seed, const CliOptions& opt) {
   ScheduleProfile p = ScheduleProfile::from_seed(seed);
-  if (opt.force_multikey) p = force_multikey(std::move(p));
-  if (opt.force_durable) p = force_durable(std::move(p));
+  if (opt.force_multikey) p = pqra::explore::force_multikey(std::move(p));
+  if (opt.force_durable) p = pqra::explore::force_durable(std::move(p));
   return p;
 }
 

@@ -316,4 +316,51 @@ void ScheduleProfile::mutate_keyspace(util::Rng& rng) {
   }
 }
 
+ScheduleProfile force_multikey(ScheduleProfile p) {
+  if (p.alg1) return p;
+  util::Rng mk = util::Rng(p.seed).fork(3);
+  if (p.keys_per_client < 2) {
+    p.keys_per_client = 2 + static_cast<std::size_t>(mk.below(15));
+  }
+  if (p.key_skew == 0.0 && mk.bernoulli(0.5)) {
+    p.key_skew = 0.6 + 0.39 * mk.uniform01();
+  }
+  if (p.replicas == 0 && mk.bernoulli(0.7)) {
+    p.replicas = p.quorum_size + static_cast<std::size_t>(mk.below(
+                     p.num_servers - p.quorum_size + 1));
+    p.ring_vnodes = 4 + static_cast<std::size_t>(mk.below(13));
+  }
+  // Sharded stores have no whole-store snapshot read.
+  if (p.replicas > 0) p.snapshot_reads = false;
+  return p;
+}
+
+ScheduleProfile force_durable(ScheduleProfile p) {
+  if (p.alg1) return p;
+  util::Rng d = util::Rng(p.seed).fork(4);
+  p.durable = true;
+  p.snapshot_every = std::size_t{4} << d.below(5);  // 4..64
+  const std::size_t fault_keys = p.keys_per_client > 1 ? p.num_keys() : 0;
+  const std::size_t extra = static_cast<std::size_t>(d.below(3));
+  for (std::size_t i = 0; i < 1 + extra; ++i) {
+    // Durability-only edits: loop until the mutate draw lands in the
+    // durability case so every sweep seed actually exercises the storage
+    // fault machinery (the general-purpose edits already ran in from_seed).
+    const std::size_t before = p.faults.events().size();
+    while (p.faults.events().size() == before) {
+      net::FaultPlan probe_plan = p.faults;
+      probe_plan.mutate(p.num_servers, p.horizon, d, fault_keys,
+                        /*durability=*/true);
+      if (probe_plan.events().size() > before &&
+          (probe_plan.events().back().kind == net::FaultKind::kTornWrite ||
+           probe_plan.events().back().kind == net::FaultKind::kFsyncLoss ||
+           probe_plan.events().back().kind ==
+               net::FaultKind::kClearFsyncLoss)) {
+        p.faults = std::move(probe_plan);
+      }
+    }
+  }
+  return p;
+}
+
 }  // namespace pqra::explore

@@ -157,4 +157,18 @@ struct ScheduleProfile {
                          const ScheduleProfile&) = default;
 };
 
+/// The `--force-multikey` transform: a pure function of the profile's seed
+/// (dedicated stream 3; from_seed uses 1 and 2), so sweeps stay
+/// reproducible and --jobs-invariant.  Gives the profile at least two keys
+/// per client and maybe read skew and a ring.  alg1 profiles are left alone
+/// — the iterative scenario owns its register layout.
+ScheduleProfile force_multikey(ScheduleProfile p);
+
+/// The `--force-durable` transform: a pure function of the profile's seed
+/// (dedicated stream 4).  Makes the run durable, draws a checkpoint cadence,
+/// and lands at least one durability fault edit so the crash-replay-compare
+/// oracle always has torn/lost syncs to chew on.  alg1 profiles are left
+/// alone.
+ScheduleProfile force_durable(ScheduleProfile p);
+
 }  // namespace pqra::explore
