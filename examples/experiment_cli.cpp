@@ -33,11 +33,13 @@
 ///             byte-identical for any jobs value (the determinism regression
 ///             in tests/ enforces this).  Wall-clock timing goes to stderr.
 ///
-/// app=store is the sharded multi-key register store (docs/SHARDING.md): c
-/// clients run a mixed get/put workload over a keyspace of `keys` keys
-/// (Zipf-skewed reads with theta in [0,1)), each key living on a
-/// `replicas`-server consistent-hash group; key-addressed fault targets
-/// (`crash:k12@10`) resolve through the ring.  Every run's history is
+/// app=store is the sharded multi-key register store (docs/SHARDING.md),
+/// built by the store harness (harness::StoreRun): c clients run a mixed
+/// get/put workload over a keyspace of `keys` keys (Zipf-skewed reads with
+/// theta in [0,1)), each key living on a `replicas`-server consistent-hash
+/// group; key-addressed fault targets (`crash:k12@10`) resolve through the
+/// ring.  replicas=0 has no ring: quorums and `k<KEY>` targets name servers
+/// by id (key % servers).  Every run's history is
 /// key-partitioned spec-checked (core/spec check_batch_by_key) and runs are
 /// independent seeded replications merged in run order, so stdout and every
 /// export stay byte-identical across --jobs.  Exit 0 iff every run's
@@ -64,12 +66,13 @@
 /// avail keys: servers (25), k (4), quorum (prob), runs (3), seed (1),
 /// churn (0.6; must lie in (0, 1)), horizon (6000), jobs (0), and
 /// (docs/DURABILITY.md):
-///   recovery = memory | amnesia | wal   (memory; any other name exits 2)
+///   recovery = memory | amnesia | wal   (memory; any other name exits 2;
+///              the store harness's one recovery rule, harness::Recovery)
 ///     memory:  recovering servers keep their in-memory store (the legacy
 ///              behavior — a crash only severs the network).
-///     amnesia: recovering servers come back empty, re-preloaded with the
-///              initial value only — the worst case durable storage guards
-///              against, surfaced in the stale-read tally.
+///     amnesia: recovering servers come back empty, so register 0 reads as
+///              its initial value until the next write — the worst case
+///              durable storage guards against.
 ///     wal:     every server runs a MemDisk-backed DurableStore
 ///              (WAL + snapshots); recovery replays the durable prefix.
 ///   snapshot-every = N   WAL appends between checkpoints for recovery=wal
@@ -107,7 +110,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -122,11 +124,10 @@
 #include "apps/graph.hpp"
 #include "apps/linear.hpp"
 #include "apps/transitive_closure.hpp"
-#include "core/keyspace/sharded_store.hpp"
 #include "core/quorum_register_client.hpp"
-#include "core/server_process.hpp"
 #include "core/spec/batch.hpp"
 #include "core/spec/history.hpp"
+#include "harness/store_harness.hpp"
 #include "iter/alg1_des.hpp"
 #include "net/fault_plan.hpp"
 #include "net/sim_transport.hpp"
@@ -143,8 +144,6 @@
 #include "quorum/singleton.hpp"
 #include "sim/parallel_runner.hpp"
 #include "sim/profiler.hpp"
-#include "storage/durable_store.hpp"
-#include "storage/mem_disk.hpp"
 #include "util/codec.hpp"
 #include "util/math.hpp"
 #include "util/stats.hpp"
@@ -334,19 +333,6 @@ bool write_file(const std::string& path, const char* what, WriteFn write) {
   return true;
 }
 
-/// Churn as a downtime fraction d: each server alternates exponential up
-/// and down periods whose means split an ~80-time-unit cycle d/(1-d), so a
-/// server is down a fraction d of the run in expectation.  Down periods are
-/// long relative to an operation deadline, which is what starves strict
-/// majorities while probabilistic quorums keep finding k live servers.
-net::FaultPlan make_churn_plan(std::size_t num_servers, double downtime_frac,
-                               double horizon, util::Rng& rng) {
-  constexpr double kCycle = 400.0;
-  return net::FaultPlan::random_churn(num_servers, horizon,
-                                      kCycle * (1.0 - downtime_frac),
-                                      kCycle * downtime_frac, rng);
-}
-
 /// The retry policy the availability experiment holds every system to: a
 /// short per-attempt timeout, exponential backoff, and a hard operation
 /// deadline well below typical down-period length.
@@ -435,48 +421,11 @@ class AvailLoop {
   core::Timestamp last_write_ts_ = 0;
 };
 
-/// What a recovering server does with its store (docs/DURABILITY.md).
-enum class AvailRecovery { kMemory, kAmnesia, kWal };
-
-/// Lifecycle hook applying the recovery mode on every crashed->up
-/// transition: amnesia resets the store to the initial value only, wal
-/// models the crash (drop volatile) and replays the durable prefix.
-class AvailRecoveryDriver final : public net::NodeLifecycleListener {
- public:
-  AvailRecoveryDriver(AvailRecovery mode,
-                      std::vector<std::unique_ptr<core::ServerProcess>>& servers,
-                      std::deque<storage::MemDisk>* disks,
-                      std::deque<storage::DurableStore>* stores)
-      : mode_(mode), servers_(servers), disks_(disks), stores_(stores) {}
-
-  void on_recover(net::NodeId node) override {
-    if (node >= servers_.size()) return;  // clients have no store
-    core::Replica& replica = servers_[node]->replica();
-    switch (mode_) {
-      case AvailRecovery::kMemory:
-        break;  // the legacy behavior: the store survives the crash
-      case AvailRecovery::kAmnesia:
-        replica.reset_store();
-        replica.restore_entry(0, 0, net::Value{});
-        break;
-      case AvailRecovery::kWal:
-        (*disks_)[node].drop_volatile();
-        (*stores_)[node].recover();
-        break;
-    }
-  }
-
- private:
-  AvailRecovery mode_;
-  std::vector<std::unique_ptr<core::ServerProcess>>& servers_;
-  std::deque<storage::MemDisk>* disks_;
-  std::deque<storage::DurableStore>* stores_;
-};
-
 /// One availability run of one quorum system under one churn schedule.
 AvailTally run_availability_once(const quorum::QuorumSystem& quorums,
                                  double downtime_frac, double horizon,
-                                 std::uint64_t seed, AvailRecovery recovery,
+                                 std::uint64_t seed,
+                                 harness::Recovery recovery,
                                  std::size_t snapshot_every,
                                  obs::Registry* metrics) {
   const std::size_t n = quorums.num_servers();
@@ -490,35 +439,16 @@ AvailTally run_availability_once(const quorum::QuorumSystem& quorums,
     transport.faults().bind_metrics(*metrics);
   }
 
-  std::vector<std::unique_ptr<core::ServerProcess>> servers;
-  servers.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    servers.push_back(std::make_unique<core::ServerProcess>(
-        transport, static_cast<net::NodeId>(s), metrics));
-    servers.back()->replica().preload(0, net::Value{});
-  }
-
-  // recovery=wal: one MemDisk + DurableStore per server, in deques so
-  // attached listener pointers stay stable.  The checkpoint makes the
-  // preloaded initial durable before any churn.
-  std::deque<storage::MemDisk> disks;
-  std::deque<storage::DurableStore> stores;
-  if (recovery == AvailRecovery::kWal) {
-    for (std::size_t s = 0; s < n; ++s) {
-      disks.emplace_back(static_cast<net::NodeId>(s), &transport.faults(),
-                         master.fork(300 + s));
-      stores.emplace_back(disks.back(),
-                          storage::DurableStore::Options{snapshot_every});
-      stores.back().attach(servers[s]->replica());
-      stores.back().checkpoint();
-    }
-  }
-  AvailRecoveryDriver recovery_driver(recovery, servers, &disks, &stores);
-  transport.faults().set_lifecycle_listener(&recovery_driver);
-
-  util::Rng churn_rng(seed * 1000003 + 17);
-  net::FaultPlan plan = make_churn_plan(n, downtime_frac, horizon, churn_rng);
-  plan.install(simulator, transport);
+  // Register 0 reads as (ts 0, empty) until its first write.
+  harness::ClusterOptions servers;
+  servers.servers = n;
+  servers.recovery = recovery;
+  servers.snapshot_every = snapshot_every;
+  servers.initial = core::Value{};
+  servers.metrics = metrics;
+  harness::StoreCluster cluster(simulator, transport, master, servers);
+  harness::churn_plan(n, downtime_frac, horizon, seed)
+      .install(simulator, transport);
 
   core::ClientOptions copts;
   copts.retry = avail_retry_policy();
@@ -532,49 +462,7 @@ AvailTally run_availability_once(const quorum::QuorumSystem& quorums,
   loop.start();
   // Slack past the horizon lets the last operation reach its deadline.
   simulator.run_until(horizon + 100.0);
-
-  // Publish the storage-layer counters into this run's metrics shard
-  // (obs/names.hpp pqra_wal_* / pqra_snapshot_* / pqra_storage_*).
-  if (metrics != nullptr && recovery == AvailRecovery::kWal) {
-    namespace names = obs::names;
-    storage::MemDisk::Counters disk_total;
-    storage::DurableStore::Counters store_total;
-    for (const storage::MemDisk& disk : disks) {
-      disk_total.appends += disk.counters().appends;
-      disk_total.append_bytes += disk.counters().append_bytes;
-      disk_total.syncs += disk.counters().syncs;
-      disk_total.lost_syncs += disk.counters().lost_syncs;
-      disk_total.torn_syncs += disk.counters().torn_syncs;
-      disk_total.snapshot_installs += disk.counters().snapshot_installs;
-    }
-    for (const storage::DurableStore& store : stores) {
-      store_total.recoveries += store.counters().recoveries;
-      store_total.snapshot_loads += store.counters().snapshot_loads;
-      store_total.replayed_records += store.counters().replayed_records;
-      store_total.torn_tails_dropped += store.counters().torn_tails_dropped;
-    }
-    metrics->counter(names::kWalAppends, "WAL records appended")
-        .inc(disk_total.appends);
-    metrics->counter(names::kWalAppendBytes, "WAL bytes appended")
-        .inc(disk_total.append_bytes);
-    metrics->counter(names::kWalSyncs, "WAL sync calls").inc(disk_total.syncs);
-    metrics->counter(names::kWalLostSyncs, "WAL syncs lost to injection")
-        .inc(disk_total.lost_syncs);
-    metrics->counter(names::kWalTornSyncs, "WAL syncs torn by injection")
-        .inc(disk_total.torn_syncs);
-    metrics->counter(names::kSnapshotInstalls, "Snapshot images installed")
-        .inc(disk_total.snapshot_installs);
-    metrics->counter(names::kStorageRecoveries, "Durable store recoveries")
-        .inc(store_total.recoveries);
-    metrics->counter(names::kSnapshotLoads, "Snapshots loaded on recovery")
-        .inc(store_total.snapshot_loads);
-    metrics->counter(names::kWalReplayedRecords, "WAL records replayed")
-        .inc(store_total.replayed_records);
-    metrics->counter(names::kWalTornDropped, "Torn WAL tails discarded")
-        .inc(store_total.torn_tails_dropped);
-  }
-  // The driver dies with this frame; detach it before the transport does.
-  transport.faults().set_lifecycle_listener(nullptr);
+  cluster.publish_storage();
   return tally;
 }
 
@@ -593,11 +481,11 @@ int run_availability(Args& args) {
   }
   const double horizon = args.get_f("horizon", 6000.0);
   const std::string recovery_name = args.get("recovery", "memory");
-  AvailRecovery recovery = AvailRecovery::kMemory;
+  harness::Recovery recovery = harness::Recovery::kMemory;
   if (recovery_name == "amnesia") {
-    recovery = AvailRecovery::kAmnesia;
+    recovery = harness::Recovery::kAmnesia;
   } else if (recovery_name == "wal") {
-    recovery = AvailRecovery::kWal;
+    recovery = harness::Recovery::kWal;
   } else if (recovery_name != "memory") {
     usage_error("bad value '" + recovery_name +
                 "' for recovery: expected memory | amnesia | wal");
@@ -712,97 +600,6 @@ int run_availability(Args& args) {
   return (claim_holds && outputs_ok) ? 0 : 1;
 }
 
-/// One store client's op loop: think delay, then a put on an owned key or a
-/// (possibly Zipf-skewed) get on any key, sequentially until `ops` settle.
-/// Heap-pinned for the simulator's lifetime (callbacks capture `this`).
-class StoreLoop {
- public:
-  StoreLoop(sim::Simulator& simulator, core::keyspace::ShardedStoreClient& c,
-            util::Rng rng, std::size_t ops, std::size_t own_index,
-            std::size_t num_clients, std::size_t keys_per_client,
-            const util::Zipfian* zipf)
-      : simulator_(simulator),
-        client_(c),
-        rng_(std::move(rng)),
-        remaining_(ops),
-        own_index_(own_index),
-        num_clients_(num_clients),
-        keys_per_client_(keys_per_client),
-        zipf_(zipf) {}
-
-  void start() { step(); }
-
- private:
-  void step() {
-    if (remaining_ == 0) return;
-    --remaining_;
-    simulator_.schedule_in(rng_.uniform01() * 2.0, sim::EventTag::kWorkload,
-                           [this] { issue(); });
-  }
-
-  void issue() {
-    const std::size_t total = keys_per_client_ * num_clients_;
-    if (rng_.bernoulli(0.4)) {
-      // Key k = slot * clients + owner: this client only puts its own keys
-      // (single-writer-per-key, the store facade's contract).
-      const std::size_t slot =
-          keys_per_client_ > 1
-              ? static_cast<std::size_t>(rng_.below(keys_per_client_))
-              : 0;
-      const auto key =
-          static_cast<net::KeyId>(slot * num_clients_ + own_index_);
-      client_.put(key, util::encode(++next_value_),
-                  [this](core::Timestamp) { step(); });
-    } else {
-      const auto key = static_cast<net::KeyId>(
-          zipf_ != nullptr ? zipf_->draw(rng_) : rng_.below(total));
-      client_.get(key, [this](core::ReadResult) { step(); });
-    }
-  }
-
-  sim::Simulator& simulator_;
-  core::keyspace::ShardedStoreClient& client_;
-  util::Rng rng_;
-  std::size_t remaining_;
-  std::size_t own_index_;
-  std::size_t num_clients_;
-  std::size_t keys_per_client_;
-  const util::Zipfian* zipf_;
-  std::int64_t next_value_ = 0;
-};
-
-struct StoreConfig {
-  std::size_t keys = 10000;
-  double theta = 0.8;
-  std::size_t servers = 16;
-  std::size_t replicas = 3;  ///< 0 = full replication
-  std::size_t k = 2;
-  std::size_t vnodes = 16;
-  std::size_t clients = 4;
-  std::size_t ops = 100;
-  bool monotone = true;
-  double horizon = 600.0;
-  double churn = 0.0;
-  /// Explicit schedule with its key targets already resolved through the
-  /// ring (make_ring); empty when the run uses churn or no faults.
-  net::FaultPlan fault_plan;
-  /// Shared rank distribution, built once per invocation: the zeta
-  /// normalization is O(keys) with a pow() per key, which at 10⁵ keys costs
-  /// more than a run's whole setup.  Draw() is const and thread-safe, so
-  /// every run (and every --jobs thread) samples the same object.
-  const util::Zipfian* zipf = nullptr;
-};
-
-/// The run's consistent-hash ring over servers [0, servers): the same for
-/// every run, so a plan's key targets resolve once, before any run.
-core::keyspace::HashRing make_ring(const StoreConfig& cfg) {
-  core::keyspace::HashRing ring(cfg.vnodes);
-  for (std::size_t s = 0; s < cfg.servers; ++s) {
-    ring.add_node(static_cast<net::NodeId>(s));
-  }
-  return ring;
-}
-
 struct StoreRunOutput {
   std::uint64_t fingerprint = 0;
   std::uint64_t events = 0;
@@ -812,143 +609,57 @@ struct StoreRunOutput {
   bool spec_ok = false;
   std::string spec_summary;
   std::unique_ptr<obs::Registry> shard;
+  /// Run 0's history under --trace-out; empty otherwise.
+  core::spec::HistoryRecorder history;
 };
 
-/// \p history, when set, receives the run's history (for --trace-out).
-StoreRunOutput run_store_once(const StoreConfig& cfg, std::uint64_t run_seed,
-                              core::spec::HistoryRecorder* history,
-                              obs::SpanSink* spans) {
+/// One replication: churn when \p churn > 0, else \p plan (key targets
+/// already resolved).  Either way the harness heals the cluster at the
+/// horizon, so pending ops complete and [R1] stays checkable.
+StoreRunOutput run_store_once(harness::RunOptions options, double churn,
+                              const net::FaultPlan& plan,
+                              std::uint64_t run_seed, bool keep_history) {
   StoreRunOutput out;
   out.shard = std::make_unique<obs::Registry>(obs::Concurrency::kSingleThread);
-  util::Rng master(run_seed);
-  const auto n = static_cast<net::NodeId>(cfg.servers);
-  // The keyspace is rounded up to a whole number of per-client slots so the
-  // slot*clients+owner layout covers it exactly.
-  const std::size_t keys_per_client =
-      (cfg.keys + cfg.clients - 1) / cfg.clients;
-  const std::size_t total_keys = keys_per_client * cfg.clients;
-  const bool sharded = cfg.replicas > 0;
+  options.cluster.metrics = out.shard.get();
+  harness::StoreRun store(run_seed, options);
+  store.install(churn > 0.0 ? harness::churn_plan(options.cluster.servers,
+                                                  churn, options.horizon,
+                                                  run_seed)
+                            : plan);
+  store.run_workload();
 
-  const core::keyspace::HashRing ring = make_ring(cfg);
-  quorum::ProbabilisticQuorums quorums(sharded ? cfg.replicas : cfg.servers,
-                                       cfg.k);
-
-  sim::Simulator simulator;
-  std::unique_ptr<sim::DelayModel> delays = sim::make_exponential_delay(1.0);
-  net::SimTransport transport(simulator, *delays, master.fork(10),
-                              static_cast<net::NodeId>(cfg.servers +
-                                                       cfg.clients));
-  transport.bind_metrics(*out.shard);
-  transport.faults().bind_metrics(*out.shard);
-
-  std::deque<core::ServerProcess> servers;
-  for (net::NodeId s = 0; s < n; ++s) {
-    servers.emplace_back(transport, s, out.shard.get());
-  }
-
-  // Every key reads as (ts 0, encoded zero) before its first put, so reads
-  // are well-defined for [R2].  The replicas carry that as their shared
-  // default initial value — observably identical to preloading the whole
-  // keyspace, without materializing total_keys × replicas store entries
-  // (which at 10⁵ keys cost more than the simulation they set up).
-  core::spec::HistoryRecorder local_history;
-  if (history == nullptr) history = &local_history;
-  history->reserve(total_keys + 4 * cfg.clients * cfg.ops);
-  const core::Value zero = util::encode<std::int64_t>(0);
-  // Only written keys materialize store entries now; pre-size each store
-  // for its expected share so the run does not pay a per-replica rehash
-  // chain as writes trickle in.  (An over-estimate only costs memory.)
-  const std::size_t expected_writes =
-      std::min(total_keys, cfg.clients * cfg.ops);
-  const std::size_t per_server =
-      expected_writes * std::max<std::size_t>(cfg.replicas, 1) /
-          std::max<std::size_t>(cfg.servers, 1) +
-      16;
-  for (core::ServerProcess& s : servers) {
-    s.replica().set_default_initial(zero);
-    s.replica().reserve(per_server);
-  }
-  for (std::size_t key = 0; key < total_keys; ++key) {
-    history->record_initial(static_cast<net::KeyId>(key));
-  }
-
-  core::keyspace::ShardedStoreOptions sopts;
-  sopts.client.monotone = cfg.monotone;
-  sopts.client.metrics = out.shard.get();
-  sopts.client.spans = spans;
-  sopts.client.retry.rpc_timeout = 6.0;
-  sopts.client.retry.backoff_factor = 1.5;
-  sopts.client.retry.max_backoff = 24.0;
-  sopts.client.retry.jitter = 0.1;
-
-  // replicas=0 degenerates gracefully: the "group" is the whole ring, so
-  // quorums sample over every server — full replication through the same
-  // facade.
-  std::deque<core::keyspace::ShardedStoreClient> clients;
-  std::deque<StoreLoop> loops;
-  for (std::size_t i = 0; i < cfg.clients; ++i) {
-    clients.emplace_back(simulator, transport,
-                         static_cast<net::NodeId>(cfg.servers + i), ring,
-                         quorums, master.fork(500 + i), sopts, history);
-    loops.emplace_back(simulator, clients.back(), master.fork(900 + i),
-                       cfg.ops, i, cfg.clients, keys_per_client, cfg.zipf);
-  }
-
-  // Fault schedule: explicit plan (key targets already resolved) or random
-  // churn; either way the horizon fully recovers the cluster so pending ops
-  // complete and [R1] stays checkable.
-  net::FaultPlan plan = cfg.fault_plan;
-  if (cfg.churn > 0.0) {
-    util::Rng churn_rng(run_seed * 1000003 + 17);
-    plan = make_churn_plan(cfg.servers, cfg.churn, cfg.horizon, churn_rng);
-  }
-  plan.install(simulator, transport);
-  simulator.schedule_at(cfg.horizon, sim::EventTag::kFault, [&transport, n] {
-    net::FaultInjector& inj = transport.faults();
-    for (net::NodeId s = 0; s < n; ++s) {
-      inj.recover(s);
-      inj.clear_slow(s);
-    }
-    inj.heal();
-    inj.set_message_faults(net::MessageFaults{});
-  });
-
-  for (StoreLoop& loop : loops) loop.start();
-  simulator.run_until(cfg.horizon + 1000.0 +
-                      60.0 * static_cast<double>(cfg.ops));
-
-  out.fingerprint = simulator.fingerprint();
-  out.events = simulator.events_processed();
-  out.ops_checked = history->ops().size();
-  for (core::keyspace::ShardedStoreClient& c : clients) {
-    out.keys_touched += c.keys_touched();
-  }
-
+  out.fingerprint = store.simulator().fingerprint();
+  out.events = store.simulator().events_processed();
+  out.ops_checked = store.history().ops().size();
+  out.keys_touched = store.keys_touched();
   core::spec::BatchOptions bo;
-  bo.r4 = cfg.monotone;
+  bo.r4 = options.monotone;
   const core::spec::KeyedBatchResult batch =
-      core::spec::check_batch_by_key(history->ops(), bo);
+      core::spec::check_batch_by_key(store.history().ops(), bo);
   out.keys_checked = batch.keys_checked;
   out.spec_ok = batch.ok();
   out.spec_summary = batch.summary();
+  if (keep_history) out.history = std::move(store.history());
   return out;
 }
 
 /// app=store: mixed-key Zipfian workload on the sharded store,
 /// key-partitioned spec check per run, byte-identical across --jobs.
 int run_store(Args& args) {
-  StoreConfig cfg;
-  cfg.keys = args.get_n("keys", cfg.keys);
-  cfg.theta = args.get_f("theta", cfg.theta);
-  cfg.servers = args.get_n("servers", cfg.servers);
-  cfg.replicas = args.get_n("replicas", cfg.replicas);
-  cfg.k = args.get_n("k", cfg.k);
-  cfg.vnodes = args.get_n("vnodes", cfg.vnodes);
-  cfg.clients = args.get_n("clients", cfg.clients);
-  cfg.ops = args.get_n("ops", cfg.ops);
-  cfg.monotone = args.get_n("monotone", 1) != 0;
-  cfg.horizon = args.get_f("horizon", cfg.horizon);
-  cfg.churn = args.get_f("churn", cfg.churn);
+  harness::RunOptions options;
+  const std::size_t keys = args.get_n("keys", 10000);
+  const double theta = args.get_f("theta", 0.8);
+  std::size_t& servers = options.cluster.servers;
+  servers = args.get_n("servers", servers);
+  options.replicas = args.get_n("replicas", options.replicas);
+  options.quorum = args.get_n("k", options.quorum);
+  options.vnodes = args.get_n("vnodes", options.vnodes);
+  options.clients = args.get_n("clients", options.clients);
+  options.ops = args.get_n("ops", options.ops);
+  options.monotone = args.get_n("monotone", 1) != 0;
+  options.horizon = args.get_f("horizon", options.horizon);
+  double churn = args.get_f("churn", 0.0);
   const std::size_t runs = args.get_n("runs", 3);
   const std::uint64_t seed = args.get_n("seed", 1);
   const std::string fault_spec = args.get("fault-plan", "");
@@ -960,31 +671,28 @@ int run_store(Args& args) {
   const std::size_t jobs = args.get_n("jobs", 0);
   args.reject_unread();
 
-  if (cfg.keys == 0 || cfg.clients == 0 || cfg.servers == 0 ||
-      cfg.vnodes == 0 || cfg.theta < 0.0 || cfg.theta >= 1.0 ||
-      cfg.replicas > cfg.servers ||
-      cfg.k > (cfg.replicas > 0 ? cfg.replicas : cfg.servers)) {
+  if (keys == 0 || options.clients == 0 || servers == 0 ||
+      options.vnodes == 0 || theta < 0.0 || theta >= 1.0 ||
+      options.replicas > servers ||
+      options.quorum > (options.replicas > 0 ? options.replicas : servers)) {
     std::fprintf(stderr,
                  "app=store: need keys/clients/servers/vnodes > 0, theta in "
                  "[0,1), replicas <= servers, k <= group size\n");
     return 2;
   }
-  if (!(cfg.churn >= 0.0 && cfg.churn < 1.0)) {
-    bad_value("churn", cfg.churn, "a downtime fraction in [0, 1)");
+  if (!(churn >= 0.0 && churn < 1.0)) {
+    bad_value("churn", churn, "a downtime fraction in [0, 1)");
   }
+  // The keyspace is rounded up to a whole number of per-client slots so the
+  // slot * clients + owner layout covers it exactly.
+  options.keys_per_client = (keys + options.clients - 1) / options.clients;
+  net::FaultPlan plan;
   if (!fault_spec.empty()) {
-    // The explicit plan overrides churn; replicas=0 maps a key to
-    // key % servers, as the unsharded store does.
-    cfg.churn = 0.0;
-    const core::keyspace::HashRing ring = make_ring(cfg);
+    churn = 0.0;  // the explicit plan overrides churn
     try {
-      cfg.fault_plan = net::FaultPlan::parse(fault_spec).resolve_keys(
-          [&](net::KeyId key) {
-            return cfg.replicas > 0
-                       ? ring.primary(key)
-                       : static_cast<net::NodeId>(key % cfg.servers);
-          });
-      cfg.fault_plan.check_targets(cfg.servers + cfg.clients);
+      plan = harness::StoreRun::resolve_keys(net::FaultPlan::parse(fault_spec),
+                                             options);
+      plan.check_targets(servers + options.clients);
     } catch (const std::logic_error& e) {
       usage_error(std::string("fault-plan: ") + e.what());
     }
@@ -992,10 +700,9 @@ int run_store(Args& args) {
 
   std::printf("sharded store: keys=%zu theta=%g | servers=%zu replicas=%zu "
               "k=%zu vnodes=%zu | clients=%zu ops=%zu%s | %zu runs\n\n",
-              cfg.keys, cfg.theta, cfg.servers, cfg.replicas, cfg.k,
-              cfg.vnodes, cfg.clients, cfg.ops,
-              (!fault_spec.empty() || cfg.churn > 0.0) ? " | faults" : "",
-              runs);
+              keys, theta, servers, options.replicas, options.quorum,
+              options.vnodes, options.clients, options.ops,
+              (!fault_spec.empty() || churn > 0.0) ? " | faults" : "", runs);
 
   // The exported history and spans are run 0's only; every run reports into
   // a private metrics shard merged below in run order — the same discipline
@@ -1004,23 +711,23 @@ int run_store(Args& args) {
   const bool want_trace = !trace_out.empty();
   const bool want_spans = !spans_out.empty();
   obs::Registry registry(obs::Concurrency::kSingleThread);
-  core::spec::HistoryRecorder run0_history;
   obs::SpanSink spans(obs::SpanSink::Options{seed, span_sample});
 
   sim::ParallelRunner pool(jobs);
-  // One zeta normalization for all runs (and all jobs threads); the rounded
-  // keyspace mirrors run_store_once's slot layout.
-  const std::size_t keys_rounded =
-      (cfg.keys + cfg.clients - 1) / cfg.clients * cfg.clients;
+  // One zeta normalization for all runs (and all jobs threads): it is O(keys)
+  // with a pow() per key, which at 10^5 keys costs more than a run's setup.
   std::optional<util::Zipfian> zipf;
-  if (cfg.theta > 0.0) zipf.emplace(keys_rounded, cfg.theta);
-  cfg.zipf = zipf.has_value() ? &*zipf : nullptr;
+  if (theta > 0.0) {
+    zipf.emplace(options.keys_per_client * options.clients, theta);
+    options.zipf = &*zipf;
+  }
   const auto wall_start = std::chrono::steady_clock::now();
   std::vector<StoreRunOutput> outputs =
-      pool.map<StoreRunOutput>(runs, [&](std::size_t run) {
-        return run_store_once(cfg, seed + run * 7919,
-                              want_trace && run == 0 ? &run0_history : nullptr,
-                              want_spans && run == 0 ? &spans : nullptr);
+      pool.map<StoreRunOutput>(runs, [&](std::size_t index) {
+        harness::RunOptions replication = options;
+        if (want_spans && index == 0) replication.spans = &spans;
+        return run_store_once(replication, churn, plan, seed + index * 7919,
+                              want_trace && index == 0);
       });
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -1061,7 +768,9 @@ int run_store(Args& args) {
   }
   if (!trace_out.empty()) {
     outputs_ok &= write_file(trace_out, "op trace JSONL", [&](auto& out) {
-      core::spec::write_history_jsonl(run0_history.ops(), out);
+      const core::spec::HistoryRecorder none;  // runs=0
+      core::spec::write_history_jsonl(
+          (outputs.empty() ? none : outputs.front().history).ops(), out);
     });
   }
   if (want_spans) {

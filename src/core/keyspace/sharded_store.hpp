@@ -13,6 +13,10 @@
 /// adds only the ring resolution (via ClientOptions::ring), the
 /// single-writer-per-key discipline, and store-level metrics.
 ///
+/// experiment_cli and pqra_explore build their store runs through the store
+/// harness (src/harness/store_harness.hpp), which sets ClientOptions::ring
+/// on a plain client; this facade remains for pqra_bench's own store.
+///
 /// ε-intersection is a *per-key* guarantee in this regime: two quorums of
 /// size k drawn from the same n-member group intersect with the usual
 /// probability bound over n = group size, independent of cluster size or of
@@ -48,7 +52,7 @@ class ShardedStoreClient {
 
   /// Writes key \p key.  This client must be the key's only writer
   /// (single-writer-per-key ownership; the workload layer assigns keys to
-  /// writers, e.g. key % num_clients in experiment_cli's store app).
+  /// writers, e.g. key % num_clients in pqra_bench's store).
   void put(KeyId key, Value value, QuorumRegisterClient::WriteCallback cb);
 
   /// Distinct keys this client has touched (gets + puts).

@@ -46,9 +46,9 @@ function(golden label)
               "${GOLDEN_DIR}/${label}.${ext}" "${WORK_DIR}/${label}.${ext}"
       RESULT_VARIABLE diff)
     if(NOT diff EQUAL 0)
-      set(failures "${failures}\n  ${label}: ${ext} differs from "
-                   "${GOLDEN_DIR}/${label}.${ext} (got ${WORK_DIR}/${label}.${ext})"
-          PARENT_SCOPE)
+      string(APPEND failures "\n  ${label}: ${ext} differs from "
+             "${GOLDEN_DIR}/${label}.${ext} (got ${WORK_DIR}/${label}.${ext})")
+      set(failures "${failures}" PARENT_SCOPE)
       return()
     endif()
   endforeach()

@@ -1,6 +1,5 @@
 #include "explore/runner.hpp"
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -10,18 +9,12 @@
 
 #include "apps/apsp.hpp"
 #include "apps/graph.hpp"
-#include "core/keyspace/hash_ring.hpp"
-#include "core/quorum_register_client.hpp"
-#include "core/server_process.hpp"
 #include "core/spec/batch.hpp"
 #include "core/spec/probes.hpp"
+#include "harness/store_harness.hpp"
 #include "iter/alg1_des.hpp"
-#include "net/sim_transport.hpp"
 #include "quorum/probabilistic.hpp"
-#include "sim/profiler.hpp"
-#include "storage/durable_store.hpp"
-#include "storage/mem_disk.hpp"
-#include "util/codec.hpp"
+#include "storage/wal.hpp"
 #include "util/zipf.hpp"
 
 namespace pqra::explore {
@@ -44,39 +37,32 @@ void fold(spec::CheckResult& into, const spec::CheckResult& from) {
   for (const std::string& v : from.violations) into.fail(v);
 }
 
-/// Crash-replay-compare oracle (docs/DURABILITY.md): fired by the fault
-/// injector on every real crashed->up transition.  It models the crash
-/// (drop the node's volatile storage), snapshots the durable images, lets
-/// the DurableStore recover the replica, and cross-checks the recovered
-/// store against an *independent* fold of those same durable bytes —
-/// snapshot entries then the honest CRC-checked WAL prefix, ts-max merge.
-/// Any divergence (a planted CRC-skip bug, a replay that resurrects torn
-/// garbage, a truncation that loses acked records) fails under the rule id
-/// "probe:durable-recovery", which shrinks and replays like any other
-/// violation.  Runs synchronously inside the existing recover fault event:
-/// durable runs add zero simulator events.
+/// Crash-replay-compare oracle (docs/DURABILITY.md): replaces the cluster
+/// as the fault injector's lifecycle listener, so it runs on every real
+/// crashed->up transition.  It captures the node's durable images, lets the
+/// cluster's recovery rule rebuild the replica, and cross-checks the
+/// recovered store against an *independent* fold of those same durable
+/// bytes — snapshot entries then the honest CRC-checked WAL prefix, ts-max
+/// merge.  Any divergence (a planted CRC-skip bug, a replay that resurrects
+/// torn garbage, a truncation that loses acked records) fails under the
+/// rule id "probe:durable-recovery", which shrinks and replays like any
+/// other violation.  Runs synchronously inside the existing recover fault
+/// event: durable runs add zero simulator events.
 class RecoveryOracle final : public net::NodeLifecycleListener {
  public:
-  RecoveryOracle(std::deque<storage::MemDisk>& disks,
-                 std::deque<storage::DurableStore>& stores,
-                 std::deque<core::ServerProcess>& servers,
-                 spec::StoreProbe& probe, spec::CheckResult& failures)
-      : disks_(disks),
-        stores_(stores),
-        servers_(servers),
-        probe_(probe),
-        failures_(failures) {}
+  RecoveryOracle(harness::StoreCluster& cluster, spec::StoreProbe& probe,
+                 spec::CheckResult& failures)
+      : cluster_(cluster), probe_(probe), failures_(failures) {}
 
   void on_recover(net::NodeId node) override {
-    if (node >= disks_.size()) return;
-    storage::MemDisk& disk = disks_[node];
-    disk.drop_volatile();
-    // Capture the durable images BEFORE recover(): the store's recovery
-    // repairs the log (wal_truncate_to), and the oracle must judge the
-    // bytes the crash actually left behind.
+    if (node >= cluster_.size()) return;
+    // Capture the durable images BEFORE recovery: it repairs the log
+    // (wal_truncate_to), and the oracle must judge the bytes the crash
+    // actually left behind.
+    const storage::MemDisk& disk = cluster_.disk(node);
     const util::Bytes snapshot = disk.durable_snapshot();
     const util::Bytes log = disk.durable_wal();
-    stores_[node].recover();
+    cluster_.recover(node);
 
     // Independent replay of the durable prefix: snapshot entries, then the
     // honest CRC-checked WAL fold.  Shares only the record codec with
@@ -96,7 +82,7 @@ class RecoveryOracle final : public net::NodeLifecycleListener {
       }
     }
 
-    const core::Replica& replica = servers_[node].replica();
+    const core::Replica& replica = cluster_.server(node).replica();
     const std::vector<core::Replica::StoreEntry> recovered =
         core::Replica::decode_store(replica.encode_store());
     for (const core::Replica::StoreEntry& e : recovered) {
@@ -132,284 +118,87 @@ class RecoveryOracle final : public net::NodeLifecycleListener {
     failures_.fail(os.str());
   }
 
-  std::deque<storage::MemDisk>& disks_;
-  std::deque<storage::DurableStore>& stores_;
-  std::deque<core::ServerProcess>& servers_;
+  harness::StoreCluster& cluster_;
   spec::StoreProbe& probe_;
   spec::CheckResult& failures_;
 };
 
-core::RetryPolicy explore_retry() {
-  core::RetryPolicy retry;
-  retry.rpc_timeout = 6.0;
-  retry.backoff_factor = 1.5;
-  retry.max_backoff = 24.0;
-  retry.jitter = 0.1;
-  return retry;
-}
-
-/// Issues one client's randomized op sequence, one op at a time (condition
-/// (3) of §3: no pipelining per register), with a short think delay before
-/// each op so client interleavings vary across profiles.  All draws come
-/// from the driver's forked Rng stream.
-struct ClientDriver {
-  sim::Simulator* sim = nullptr;
-  core::QuorumRegisterClient* client = nullptr;
-  util::Rng rng;
-  std::size_t remaining = 0;
-  std::size_t num_regs = 1;
-  core::RegisterId own_reg = 0;
-  bool snapshot_reads = false;
-  std::int64_t next_value = 0;
-  // Keyspace shape (docs/SHARDING.md).  Key k = slot * num_clients + owner,
-  // so the single-key defaults collapse to the legacy workload with the
-  // exact same draw sequence: writes target own_reg without a draw, reads
-  // draw uniformly over num_regs (== num_clients when keys_per_client is 1).
-  std::size_t keys_per_client = 1;
-  std::size_t writers_per_key = 1;
-  std::size_t num_clients = 1;
-  std::size_t own_index = 0;
-  const util::Zipfian* zipf = nullptr;
-
-  void step() {
-    if (remaining == 0) return;
-    --remaining;
-    sim->schedule_in(rng.uniform01() * 2.0, sim::EventTag::kWorkload,
-                     [this] { issue(); });
-  }
-
-  core::RegisterId pick_write_key() {
-    if (keys_per_client == 1 && writers_per_key == 1) return own_reg;
-    const std::size_t slot =
-        keys_per_client > 1 ? static_cast<std::size_t>(rng.below(
-                                  keys_per_client))
-                            : 0;
-    // writers_per_key > 1: this client also writes keys owned by the next
-    // w-1 clients (mod c), making those keys contended.
-    const std::size_t owner =
-        writers_per_key > 1
-            ? (own_index + static_cast<std::size_t>(rng.below(
-                               writers_per_key))) %
-                  num_clients
-            : own_index;
-    return static_cast<core::RegisterId>(slot * num_clients + owner);
-  }
-
-  core::RegisterId pick_read_key() {
-    if (zipf != nullptr) {
-      return static_cast<core::RegisterId>(zipf->draw(rng));
-    }
-    return static_cast<core::RegisterId>(rng.below(num_regs));
-  }
-
-  void issue() {
-    if (rng.bernoulli(0.4)) {
-      ++next_value;
-      client->write(pick_write_key(), util::encode(next_value),
-                    [this](core::Timestamp) { step(); });
-    } else if (snapshot_reads && rng.bernoulli(0.3)) {
-      std::vector<core::RegisterId> regs;
-      regs.reserve(num_regs);
-      for (std::size_t r = 0; r < num_regs; ++r) {
-        regs.push_back(static_cast<core::RegisterId>(r));
-      }
-      client->read_snapshot(std::move(regs),
-                            [this](std::vector<core::ReadResult>) { step(); });
-    } else {
-      client->read(pick_read_key(), [this](core::ReadResult) { step(); });
-    }
-  }
-};
-
-/// Direct register workload: clients [n, n+c) against servers [0, n).
-/// Single-key profiles give each client one register (client i is register
-/// i's single writer); multi-key profiles spread keys_per_client keys per
-/// client over the keyspace, optionally Zipf-skewed reads, contended
-/// writers, and consistent-hash replica groups (docs/SHARDING.md).
+/// Direct register workload: clients [n, n+c) against servers [0, n), built
+/// through the store harness.  Single-key profiles give each client one
+/// register (client i is register i's single writer); multi-key profiles
+/// spread keys_per_client keys per client over the keyspace, optionally
+/// Zipf-skewed reads, contended writers, and consistent-hash replica groups
+/// (docs/SHARDING.md).
 RunOutcome run_direct(const ScheduleProfile& p,
                       obs::FlightRecorder* recorder) {
   RunOutcome out;
-  util::Rng master(p.seed);
-  const auto n = static_cast<net::NodeId>(p.num_servers);
-  const std::size_t c = p.num_clients;
-  const std::size_t total_keys = p.num_keys();
-  const bool sharded = p.replicas > 0;
-
-  core::keyspace::HashRing ring(p.ring_vnodes);
-  if (sharded) {
-    for (net::NodeId s = 0; s < n; ++s) ring.add_node(s);
-  }
-  // Sharded runs size the quorum system to the replica group: ServerId on
-  // the wire is a position within the key's group, resolved per key.
-  quorum::ProbabilisticQuorums quorums(sharded ? p.replicas : p.num_servers,
-                                       p.quorum_size);
-  sim::Simulator sim;
-  const std::unique_ptr<sim::DelayModel> delay = p.delay.make();
-  net::SimTransport transport(sim, *delay, master.fork(10),
-                              static_cast<net::NodeId>(p.num_servers + c));
-  if (recorder != nullptr) transport.bind_flight_recorder(recorder);
-
-  std::deque<core::ServerProcess> servers;
-  for (net::NodeId s = 0; s < n; ++s) {
-    if (p.gossip_interval > 0.0) {
-      core::GossipOptions gossip;
-      gossip.interval = p.gossip_interval;
-      gossip.group_base = 0;
-      gossip.group_size = p.num_servers;
-      servers.emplace_back(transport, s, sim, gossip,
-                           master.fork(200 + static_cast<std::uint64_t>(s)));
-    } else {
-      servers.emplace_back(transport, s);
-    }
-    if (p.bug_cross_key) {
-      servers.back().replica().set_test_cross_key_probe_bug(true);
-    }
-  }
-
-  // Durable replicas (docs/DURABILITY.md): one deterministic MemDisk and
-  // one DurableStore per server.  The disk's RNG stream (300+s) is forked
-  // only on durable runs — fork() is const, so non-durable runs keep their
-  // exact draw sequence — and is consumed only when a torn-write fault
-  // picks a tear offset, so fault-free durable runs stay byte-identical to
-  // their non-durable twins.
-  std::deque<storage::MemDisk> disks;
-  std::deque<storage::DurableStore> stores;
-  if (p.durable) {
-    for (net::NodeId s = 0; s < n; ++s) {
-      disks.emplace_back(s, &transport.faults(),
-                         master.fork(300 + static_cast<std::uint64_t>(s)));
-      stores.emplace_back(disks.back(),
-                          storage::DurableStore::Options{p.snapshot_every});
-      stores.back().attach(servers[s].replica());
-      if (p.bug_skip_crc) stores.back().set_test_skip_crc_bug(true);
-    }
-  }
-
-  spec::HistoryRecorder history;
-  core::ClientOptions options;
-  options.monotone = p.monotone;
-  options.read_repair = p.read_repair;
-  options.write_back = p.write_back;
-  options.retry = explore_retry();
-  if (sharded) options.ring = &ring;
-
-  std::deque<core::QuorumRegisterClient> clients;
-  for (std::size_t i = 0; i < c; ++i) {
-    clients.emplace_back(sim, transport,
-                         static_cast<net::NodeId>(p.num_servers + i), quorums,
-                         /*server_base=*/0, master.fork(500 + i), options,
-                         &history);
-  }
-
-  // Every key carries a preloaded initial so reads before the first write
-  // are well-defined for [R2] — on every server under full replication, on
-  // the key's ring group only when sharded.  One shared zero value: copies
-  // alias (net/value.hpp), so this is a refcount bump per replica instead
-  // of an allocation per replica.
-  const core::Value zero = util::encode<std::int64_t>(0);
-  std::vector<net::NodeId> group;
-  for (std::size_t r = 0; r < total_keys; ++r) {
-    const auto reg = static_cast<core::RegisterId>(r);
-    if (sharded) {
-      ring.replica_group(reg, p.replicas, group);
-      for (net::NodeId owner : group) {
-        servers[owner].replica().preload(reg, zero);
-      }
-    } else {
-      for (core::ServerProcess& s : servers) {
-        s.replica().preload(reg, zero);
-      }
-    }
-    history.record_initial(reg);
-  }
-  // Preload bypasses the store listener; an explicit checkpoint makes the
-  // initial vector durable, so a server crashing before its first write
-  // recovers its preloaded keys instead of an empty store.
-  for (storage::DurableStore& store : stores) store.checkpoint();
-
-  // Zipfian read skew over the whole keyspace; shared by all drivers (each
-  // draw consumes one uniform from the calling driver's own stream).
+  // Zipfian read skew over the whole keyspace; shared by all loops (each
+  // draw consumes one uniform from the calling loop's own stream).
   std::optional<util::Zipfian> zipf;
-  if (p.key_skew > 0.0) zipf.emplace(total_keys, p.key_skew);
+  if (p.key_skew > 0.0) zipf.emplace(p.num_keys(), p.key_skew);
 
-  std::deque<ClientDriver> drivers;
-  for (std::size_t i = 0; i < c; ++i) {
-    ClientDriver d;
-    d.sim = &sim;
-    d.client = &clients[i];
-    d.rng = master.fork(900 + i);
-    d.remaining = p.ops_per_client;
-    d.num_regs = total_keys;
-    d.own_reg = static_cast<core::RegisterId>(i);
-    d.snapshot_reads = p.snapshot_reads;
-    d.keys_per_client = p.keys_per_client;
-    d.writers_per_key = p.writers_per_key;
-    d.num_clients = c;
-    d.own_index = i;
-    if (zipf.has_value()) d.zipf = &*zipf;
-    drivers.push_back(d);
+  harness::RunOptions o;
+  o.cluster.servers = p.num_servers;
+  o.cluster.gossip_interval = p.gossip_interval;
+  o.cluster.recovery =
+      p.durable ? harness::Recovery::kWal : harness::Recovery::kMemory;
+  o.cluster.snapshot_every = p.snapshot_every;
+  o.replicas = p.replicas;
+  o.vnodes = p.ring_vnodes;
+  o.quorum = p.quorum_size;
+  o.clients = p.num_clients;
+  o.ops = p.ops_per_client;
+  o.keys_per_client = p.keys_per_client;
+  o.writers_per_key = p.writers_per_key;
+  o.monotone = p.monotone;
+  o.read_repair = p.read_repair;
+  o.write_back = p.write_back;
+  o.snapshot_reads = p.snapshot_reads;
+  if (zipf.has_value()) o.zipf = &*zipf;
+  o.delay = p.delay;
+  o.horizon = p.horizon;
+  harness::StoreRun store(p.seed, o);
+  if (recorder != nullptr) store.transport().bind_flight_recorder(recorder);
+  harness::StoreCluster& cluster = store.cluster();
+  for (std::size_t s = 0; s < cluster.size(); ++s) {
+    if (p.bug_cross_key) {
+      cluster.server(s).replica().set_test_cross_key_probe_bug(true);
+    }
+    if (p.durable && p.bug_skip_crc) {
+      cluster.durable(s).set_test_skip_crc_bug(true);
+    }
   }
 
-  // Declared before the fault plan installs: the recovery oracle hangs off
+  // Set up before the fault plan installs: the recovery oracle hangs off
   // the injector's lifecycle hook and folds into the same probe state.
   spec::StoreProbe probe;
   spec::CheckResult probe_failures;
   std::optional<RecoveryOracle> oracle;
   if (p.durable) {
-    oracle.emplace(disks, stores, servers, probe, probe_failures);
-    transport.faults().set_lifecycle_listener(&*oracle);
+    oracle.emplace(cluster, probe, probe_failures);
+    store.transport().faults().set_lifecycle_listener(&*oracle);
   }
-
-  // Key-addressed fault targets resolve to the key's primary owner — ring
-  // primary when sharded, round-robin owner otherwise.
-  net::FaultPlan plan = p.faults;
-  if (plan.has_key_targets()) {
-    plan = plan.resolve_keys([&](net::KeyId key) {
-      return sharded ? ring.primary(key)
-                     : static_cast<net::NodeId>(key % p.num_servers);
-    });
-  }
-  plan.install(sim, transport);
-  // Horizon recovery, scheduled AFTER the plan so plan events at exactly
-  // the horizon fire first: from here on the cluster is fault-free and all
-  // pending operations can complete — [R1] stays a checkable property.
-  sim.schedule_at(p.horizon, sim::EventTag::kFault, [&transport, n] {
-    net::FaultInjector& inj = transport.faults();
-    for (net::NodeId s = 0; s < n; ++s) {
-      inj.recover(s);
-      inj.clear_slow(s);
-    }
-    inj.heal();
-    inj.set_message_faults(net::MessageFaults{});
-  });
+  store.install(p.faults);
 
   // Store/COW probes at 7 interior points of the horizon plus one final
   // observation after the run.
+  const auto observe_all = [&probe, &probe_failures, &cluster] {
+    for (std::size_t s = 0; s < cluster.size(); ++s) {
+      core::ServerProcess& server = cluster.server(s);
+      fold(probe_failures, probe.observe(server.id(), server.replica()));
+    }
+  };
   for (int k = 1; k <= 7; ++k) {
-    sim.schedule_at(p.horizon * static_cast<double>(k) / 8.0,
-                    sim::EventTag::kProbe,
-                    [&probe, &probe_failures, &servers] {
-                      for (core::ServerProcess& s : servers) {
-                        fold(probe_failures, probe.observe(s.id(), s.replica()));
-                      }
-                    });
+    store.simulator().schedule_at(p.horizon * static_cast<double>(k) / 8.0,
+                                  sim::EventTag::kProbe, observe_all);
   }
+  store.run_workload();
+  observe_all();
 
-  for (ClientDriver& d : drivers) d.step();
-
-  // Gossip (and stray retry timers) keep the queue alive, so run to a cap
-  // generous enough that every op finishes long after horizon recovery.
-  const sim::Time cap =
-      p.horizon + 1000.0 + 60.0 * static_cast<double>(p.ops_per_client);
-  sim.run_until(cap);
-
-  for (core::ServerProcess& s : servers) {
-    fold(probe_failures, probe.observe(s.id(), s.replica()));
-  }
-
-  out.fingerprint = sim.fingerprint();
-  out.events_processed = sim.events_processed();
-  out.sim_time = sim.now();
+  const spec::HistoryRecorder& history = store.history();
+  out.fingerprint = store.simulator().fingerprint();
+  out.events_processed = store.simulator().events_processed();
+  out.sim_time = store.simulator().now();
   out.ops_checked = history.ops().size();
 
   spec::BatchOptions bo;
@@ -470,7 +259,7 @@ RunOutcome run_alg1_scenario(const ScheduleProfile& p,
   o.round_cap = 5000;
   o.record_history = true;
   o.fault_plan = &plan;
-  o.retry = explore_retry();
+  o.retry = harness::store_retry();
   o.max_sim_time = p.horizon + 20000.0;
   o.flight_recorder = recorder;
 
