@@ -12,6 +12,7 @@
 
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "explore/profile.hpp"
 #include "explore/runner.hpp"
@@ -103,6 +104,42 @@ TEST(ExploreDurabilityTest, PreDurabilityProfileTextParsesToDefaults) {
     legacy << line << "\n";
   }
   EXPECT_EQ(ScheduleProfile::parse(legacy.str()), p);
+}
+
+// Every number a profile line holds is parsed whole: no sign on a count,
+// no overflow, nothing non-finite, no negative gossip period.  Each of these
+// replaces one line of a valid profile and must fail as a bad line — a
+// wrapped or saturated count would size the run's cluster and horizon.
+TEST(ExploreDurabilityTest, GarbageNumbersAreBadProfileLines) {
+  const std::string text = ScheduleProfile::from_seed(3).serialize();
+  ASSERT_NO_THROW(ScheduleProfile::parse(text));
+  const std::pair<const char*, const char*> garbage[] = {
+      {"seed", "-1"},          {"servers", "-1"},
+      {"ops", "99999999999999999999999"},
+      {"horizon", "nan"},      {"horizon", "inf"},
+      {"gossip", "inf"},       {"gossip", "-5"},
+      {"key-skew", "nan"},     {"snapshot-every", "-1"},
+      {"quorum", " 2"},        {"clients", "2x"},
+  };
+  for (const auto& [key, value] : garbage) {
+    std::istringstream in(text);
+    std::ostringstream edited;
+    std::string line;
+    while (std::getline(in, line)) {
+      if (line.substr(0, line.find(' ')) == key) {
+        line = std::string(key) + " " + value;
+      }
+      edited << line << "\n";
+    }
+    try {
+      ScheduleProfile::parse(edited.str());
+      ADD_FAILURE() << "accepted '" << key << " " << value << "'";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad profile line ("),
+                std::string::npos)
+          << key << " " << value << ": " << e.what();
+    }
+  }
 }
 
 TEST(ExploreDurabilityTest, InvalidDurabilityCombinationsAreRejected) {

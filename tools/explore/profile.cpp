@@ -1,7 +1,8 @@
 #include "explore/profile.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -20,17 +21,25 @@ using DelayKind = sim::DelaySpec::Kind;
                          line);
 }
 
-std::uint64_t parse_u64(const std::string& value, const std::string& line) {
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(value.c_str(), &end, 10);
-  if (end == value.c_str() || *end != '\0') bad_line(line, "expected integer");
+/// The whole of \p value as a T: no sign on an integer, no overflow, no
+/// leading space or trailing text.
+template <typename T>
+T parse_whole(const std::string& value, const std::string& line,
+              const char* why) {
+  T v{};
+  const char* end = value.data() + value.size();
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc() || ptr != end) bad_line(line, why);
   return v;
 }
 
+std::uint64_t parse_u64(const std::string& value, const std::string& line) {
+  return parse_whole<std::uint64_t>(value, line, "expected integer");
+}
+
 double parse_f64(const std::string& value, const std::string& line) {
-  char* end = nullptr;
-  const double v = std::strtod(value.c_str(), &end);
-  if (end == value.c_str() || *end != '\0') bad_line(line, "expected number");
+  const double v = parse_whole<double>(value, line, "expected number");
+  if (!std::isfinite(v)) bad_line(line, "expected a finite number");
   return v;
 }
 
@@ -222,6 +231,7 @@ ScheduleProfile ScheduleProfile::parse(const std::string& text) {
       p.bug_skip_crc = parse_bool(value, line);
     } else if (key == "gossip") {
       p.gossip_interval = parse_f64(value, line);
+      if (p.gossip_interval < 0.0) bad_line(line, "expected a period >= 0");
     } else if (key == "delay") {
       p.delay = sim::DelaySpec::parse(value);
     } else if (key == "horizon") {
