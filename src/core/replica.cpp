@@ -110,16 +110,23 @@ void Replica::restore_entry(RegisterId reg, Timestamp ts, Value value) {
 }
 
 std::vector<Replica::StoreEntry> Replica::decode_store(const Value& encoded) {
+  // Every entry takes at least its (reg, ts, length) header, so a count the
+  // remaining bytes cannot hold is rejected before it sizes anything.
+  constexpr std::size_t kMinEntry =
+      sizeof(RegisterId) + sizeof(Timestamp) + sizeof(std::uint64_t);
   std::size_t off = 0;
-  auto count = util::detail::read_raw<std::uint64_t>(encoded, off);
+  const auto count = util::detail::read_raw<std::uint64_t>(encoded, off);
+  PQRA_CHECK(count <= (encoded.size() - off) / kMinEntry,
+             "store: entry count exceeds the payload");
   std::vector<StoreEntry> entries;
   entries.reserve(count);
   for (std::uint64_t e = 0; e < count; ++e) {
     StoreEntry entry;
     entry.reg = util::detail::read_raw<RegisterId>(encoded, off);
     entry.ts = util::detail::read_raw<Timestamp>(encoded, off);
-    auto len = util::detail::read_raw<std::uint64_t>(encoded, off);
-    PQRA_CHECK(off + len <= encoded.size(), "store: truncated payload");
+    const auto len = util::detail::read_raw<std::uint64_t>(encoded, off);
+    // Compared with what is left, so a huge length cannot wrap off + len.
+    PQRA_CHECK(len <= encoded.size() - off, "store: truncated payload");
     entry.value = util::Bytes(
         encoded.begin() + static_cast<std::ptrdiff_t>(off),
         encoded.begin() + static_cast<std::ptrdiff_t>(off + len));
