@@ -47,8 +47,8 @@ StoreCluster::StoreCluster(sim::Simulator& simulator,
       // The disk's stream is drawn only when a torn write picks its tear,
       // so fault-free durable runs keep their non-durable twins' schedule.
       disks_.emplace_back(id, &transport.faults(), master.fork(300 + s));
-      stores_.emplace_back(disks_.back(), storage::DurableStore::Options{
-                                              options.snapshot_every});
+      const storage::DurableStore::Options durable{options.snapshot_every};
+      stores_.emplace_back(disks_.back(), durable);
       stores_.back().attach(replica);
       stores_.back().checkpoint();
     }
@@ -94,8 +94,7 @@ void StoreCluster::publish_storage() const {
   for (const storage::MemDisk& disk : disks_) {
     const storage::MemDisk::Counters& c = disk.counters();
     m.counter(names::kWalAppends, "WAL records appended").inc(c.appends);
-    m.counter(names::kWalAppendBytes, "WAL bytes appended")
-        .inc(c.append_bytes);
+    m.counter(names::kWalAppendBytes, "WAL bytes appended").inc(c.append_bytes);
     m.counter(names::kWalSyncs, "WAL sync calls").inc(c.syncs);
     m.counter(names::kWalLostSyncs, "WAL syncs lost to injection")
         .inc(c.lost_syncs);
@@ -210,6 +209,8 @@ void StoreRun::think(std::size_t i) {
                          [this, i] { issue(i); });
 }
 
+// One operation: with probability 0.4 a put, else a read — of every key for
+// 30% of the reads under snapshot_reads, else of one key.
 void StoreRun::issue(std::size_t i) {
   Loop& loop = loops_[i];
   const std::size_t clients = options_.clients;
@@ -220,12 +221,11 @@ void StoreRun::issue(std::size_t i) {
     const std::size_t slot =
         per_client > 1 ? static_cast<std::size_t>(loop.rng.below(per_client))
                        : 0;
+    const std::size_t writers = options_.writers_per_key;
     const std::size_t owner =
-        options_.writers_per_key > 1
-            ? (i + static_cast<std::size_t>(
-                       loop.rng.below(options_.writers_per_key))) %
-                  clients
-            : i;
+        writers > 1 ? (i + static_cast<std::size_t>(loop.rng.below(writers))) %
+                          clients
+                    : i;
     ++puts_;
     clients_[i].write(static_cast<net::KeyId>(slot * clients + owner),
                       util::encode(++loop.next_value),
@@ -236,8 +236,10 @@ void StoreRun::issue(std::size_t i) {
       keys[k] = static_cast<core::RegisterId>(k);
     }
     ++gets_;
-    clients_[i].read_snapshot(
-        std::move(keys), [this, i](std::vector<core::ReadResult>) { think(i); });
+    clients_[i].read_snapshot(std::move(keys),
+                              [this, i](std::vector<core::ReadResult>) {
+                                think(i);
+                              });
   } else {
     const std::uint64_t key = options_.zipf != nullptr
                                   ? options_.zipf->draw(loop.rng)

@@ -72,6 +72,8 @@ class StoreCluster final : public net::NodeLifecycleListener {
   StoreCluster(sim::Simulator& simulator, net::SimTransport& transport,
                const util::Rng& master, const ClusterOptions& options);
   ~StoreCluster();
+  StoreCluster(const StoreCluster&) = delete;
+  StoreCluster& operator=(const StoreCluster&) = delete;
 
   void on_recover(net::NodeId node) override { recover(node); }
 
@@ -152,6 +154,8 @@ struct RunOptions {
 class StoreRun {
  public:
   StoreRun(std::uint64_t seed, const RunOptions& options);
+  StoreRun(const StoreRun&) = delete;
+  StoreRun& operator=(const StoreRun&) = delete;
 
   /// \p plan with each key target replaced by its key's primary server:
   /// the ring primary, or key % servers without a ring — the same rule the
@@ -180,7 +184,7 @@ class StoreRun {
   /// One client's loop state; its draws come from stream 900+i.
   struct Loop {
     util::Rng rng;
-    std::size_t remaining;
+    std::size_t remaining = 0;
     std::int64_t next_value = 0;
   };
 
