@@ -1,9 +1,10 @@
 /// Mixed-key churn property suite (docs/SHARDING.md): 64 keys spread over
-/// consistent-hash replica groups, four clients running a Zipf-skewed
-/// get/put workload through ShardedStoreClient while servers churn and the
-/// network drops/duplicates/reorders — and the recorded history must pass
-/// the key-partitioned spec checkers ([R1] after horizon recovery, [R2],
-/// [R4], single-writer per key), with every causal span tree staying
+/// consistent-hash replica groups, four clients running the store
+/// harness's Zipf-skewed get/put workload (harness::StoreRun, the code
+/// experiment_cli app=store runs) while servers churn and the network
+/// drops/duplicates/reorders — and the recorded history must pass the
+/// key-partitioned spec checkers ([R1] after horizon recovery, [R2], [R4],
+/// single-writer per key), with every causal span tree staying
 /// key-consistent (a tree never mixes keys, and every RPC lands inside the
 /// key's replica group).
 ///
@@ -12,23 +13,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <set>
 #include <vector>
 
 #include "core/keyspace/hash_ring.hpp"
-#include "core/keyspace/sharded_store.hpp"
-#include "core/server_process.hpp"
 #include "core/spec/batch.hpp"
-#include "core/spec/history.hpp"
+#include "harness/store_harness.hpp"
 #include "net/fault_plan.hpp"
-#include "net/sim_transport.hpp"
 #include "obs/span.hpp"
-#include "quorum/probabilistic.hpp"
-#include "sim/delay_model.hpp"
-#include "sim/simulator.hpp"
-#include "util/codec.hpp"
 #include "util/rng.hpp"
 #include "util/zipf.hpp"
 
@@ -38,83 +31,43 @@ namespace {
 constexpr std::size_t kServers = 10;
 constexpr std::size_t kReplicas = 3;
 constexpr std::size_t kQuorum = 2;
+constexpr std::size_t kVnodes = 8;
 constexpr std::size_t kClients = 4;
 constexpr std::size_t kKeysPerClient = 16;  // 64 keys total
 constexpr std::size_t kTotalKeys = kClients * kKeysPerClient;
 constexpr std::size_t kOpsPerClient = 25;
 constexpr double kHorizon = 60.0;
 
-/// One client's seeded op sequence over the shared keyspace: puts on its
-/// own keys (key = slot * clients + owner), Zipf-skewed gets on any key.
-struct Driver {
-  sim::Simulator* sim = nullptr;
-  core::keyspace::ShardedStoreClient* client = nullptr;
-  util::Rng rng;
-  std::size_t remaining = 0;
-  std::size_t own_index = 0;
-  const util::Zipfian* zipf = nullptr;
-  std::int64_t next_value = 0;
-  std::size_t* completed = nullptr;
-
-  void step() {
-    if (remaining == 0) return;
-    --remaining;
-    sim->schedule_in(rng.uniform01() * 2.0, [this] { issue(); });
-  }
-
-  void issue() {
-    if (rng.bernoulli(0.4)) {
-      const auto slot = static_cast<std::size_t>(rng.below(kKeysPerClient));
-      const auto key = static_cast<net::KeyId>(slot * kClients + own_index);
-      client->put(key, util::encode(++next_value), [this](core::Timestamp) {
-        ++*completed;
-        step();
-      });
-    } else {
-      const auto key = static_cast<net::KeyId>(zipf->draw(rng));
-      client->get(key, [this](core::ReadResult) {
-        ++*completed;
-        step();
-      });
-    }
-  }
-};
-
 struct RunResult {
   std::size_t completed = 0;
   core::spec::KeyedBatchResult batch;
 };
 
-RunResult run_workload(std::uint64_t seed, obs::SpanSink* sink,
-                       const core::keyspace::HashRing& ring) {
-  util::Rng master(seed);
-  sim::Simulator sim;
-  auto delay = sim::make_exponential_delay(1.0);
-  net::SimTransport transport(sim, *delay, master.fork(10),
-                              static_cast<net::NodeId>(kServers + kClients));
-
-  std::deque<core::ServerProcess> servers;
-  for (net::NodeId s = 0; s < static_cast<net::NodeId>(kServers); ++s) {
-    servers.emplace_back(transport, s);
-    if (sink != nullptr) servers.back().bind_spans(sink, sim);
-  }
-
-  // Preload each key on its replica group so reads before the first put
-  // are well-defined for [R2].
-  core::spec::HistoryRecorder history;
-  std::vector<net::NodeId> group;
-  for (std::size_t k = 0; k < kTotalKeys; ++k) {
-    const auto key = static_cast<net::KeyId>(k);
-    ring.replica_group(key, kReplicas, group);
-    for (net::NodeId owner : group) {
-      servers[owner].replica().preload(key, util::encode<std::int64_t>(0));
+RunResult run_workload(std::uint64_t seed, obs::SpanSink* sink) {
+  const util::Zipfian zipf(kTotalKeys, 0.7);
+  harness::RunOptions options;
+  options.cluster.servers = kServers;
+  options.replicas = kReplicas;
+  options.vnodes = kVnodes;
+  options.quorum = kQuorum;
+  options.clients = kClients;
+  options.ops = kOpsPerClient;
+  options.keys_per_client = kKeysPerClient;
+  options.zipf = &zipf;
+  options.horizon = kHorizon;
+  options.spans = sink;
+  harness::StoreRun store(seed, options);
+  if (sink != nullptr) {
+    for (std::size_t s = 0; s < kServers; ++s) {
+      store.cluster().server(s).bind_spans(sink, store.simulator());
     }
-    history.record_initial(key);
   }
 
   // Seeded churn plus message drop/duplicate/reorder — the fault mix the
-  // property quantifies over.
-  util::Rng churn_rng = master.fork(20);
+  // property quantifies over.  The harness heals it all at the horizon and
+  // its clients retry without a deadline, so every op completes and [R1]
+  // is checkable.
+  util::Rng churn_rng = util::Rng(seed).fork(20);
   net::FaultPlan plan = net::FaultPlan::random_churn(
       kServers, kHorizon, /*mean_uptime=*/15.0, /*mean_downtime=*/5.0,
       churn_rng);
@@ -124,57 +77,18 @@ RunResult run_workload(std::uint64_t seed, obs::SpanSink* sink,
   faults.reorder_probability = 0.12;
   faults.reorder_delay_max = 3.0;
   plan.with_message_faults(faults);
-
-  quorum::ProbabilisticQuorums quorums(kReplicas, kQuorum);
-  core::keyspace::ShardedStoreOptions sopts;
-  sopts.client.monotone = true;
-  sopts.client.retry.rpc_timeout = 6.0;  // no deadline: every op retries to
-  sopts.client.retry.backoff_factor = 1.5;  // completion once the horizon
-  sopts.client.retry.max_backoff = 24.0;    // heals, so [R1] is checkable
-  sopts.client.retry.jitter = 0.1;
-  sopts.client.spans = sink;
-
-  const util::Zipfian zipf(kTotalKeys, 0.7);
-  std::deque<core::keyspace::ShardedStoreClient> clients;
-  for (std::size_t i = 0; i < kClients; ++i) {
-    clients.emplace_back(sim, transport,
-                         static_cast<net::NodeId>(kServers + i), ring, quorums,
-                         master.fork(500 + i), sopts, &history);
-  }
-
-  plan.install(sim, transport);
-  // Horizon recovery, after the plan so its events at the horizon fire
-  // first: every fault clears and every retrying op completes.
-  sim.schedule_at(kHorizon, [&transport] {
-    net::FaultInjector& inj = transport.faults();
-    for (net::NodeId s = 0; s < static_cast<net::NodeId>(kServers); ++s) {
-      inj.recover(s);
-      inj.clear_slow(s);
-    }
-    inj.heal();
-    inj.set_message_faults(net::MessageFaults{});
-  });
+  store.install(plan);
+  store.run_workload();
 
   RunResult result;
-  std::deque<Driver> drivers;
-  for (std::size_t i = 0; i < kClients; ++i) {
-    Driver d;
-    d.sim = &sim;
-    d.client = &clients[i];
-    d.rng = master.fork(900 + i);
-    d.remaining = kOpsPerClient;
-    d.own_index = i;
-    d.zipf = &zipf;
-    d.completed = &result.completed;
-    drivers.push_back(d);
-    drivers.back().step();
+  for (const core::spec::OpRecord& op : store.history().ops()) {
+    // Initial values are recorded under pseudo-process 0; clients are
+    // nodes [servers, servers + clients).
+    if (op.proc >= kServers && op.responded) ++result.completed;
   }
-
-  sim.run_until(kHorizon + 1000.0 + 60.0 * kOpsPerClient);
-
   core::spec::BatchOptions bo;
   bo.r4 = true;  // monotone clients
-  result.batch = core::spec::check_batch_by_key(history.ops(), bo);
+  result.batch = core::spec::check_batch_by_key(store.history().ops(), bo);
   return result;
 }
 
@@ -183,18 +97,19 @@ class MultiKeyChurnProperty : public ::testing::TestWithParam<std::uint64_t> {
 
 TEST_P(MultiKeyChurnProperty, KeyPartitionedSpecHoldsUnderChurn) {
   const std::uint64_t seed = GetParam();
-  core::keyspace::HashRing ring(8);
+  // The harness's ring: the same vnodes over the same servers.
+  core::keyspace::HashRing ring(kVnodes);
   for (net::NodeId s = 0; s < static_cast<net::NodeId>(kServers); ++s) {
     ring.add_node(s);
   }
 
   obs::SpanSink sink(obs::SpanSink::Options{seed, /*sample_period=*/1});
-  const RunResult r = run_workload(seed, &sink, ring);
+  const RunResult r = run_workload(seed, &sink);
 
   ASSERT_EQ(r.completed, kClients * kOpsPerClient) << "seed " << seed;
   EXPECT_TRUE(r.batch.ok()) << "seed " << seed << "\n  "
                             << r.batch.summary();
-  // Every key was checked (the preloaded initial guarantees presence).
+  // Every key was checked (its recorded initial guarantees presence).
   EXPECT_EQ(r.batch.keys_checked, kTotalKeys) << "seed " << seed;
 
   // Span trees stay key-consistent: no orphans or leaks, a tree never
@@ -224,14 +139,10 @@ TEST_P(MultiKeyChurnProperty, KeyPartitionedSpecHoldsUnderChurn) {
 }
 
 TEST(MultiKeyChurnTest, HistoryAndSpansAreReproducible) {
-  core::keyspace::HashRing ring(8);
-  for (net::NodeId s = 0; s < static_cast<net::NodeId>(kServers); ++s) {
-    ring.add_node(s);
-  }
   obs::SpanSink a(obs::SpanSink::Options{11, 1});
   obs::SpanSink b(obs::SpanSink::Options{11, 1});
-  const RunResult ra = run_workload(11, &a, ring);
-  const RunResult rb = run_workload(11, &b, ring);
+  const RunResult ra = run_workload(11, &a);
+  const RunResult rb = run_workload(11, &b);
   EXPECT_EQ(ra.completed, rb.completed);
   EXPECT_EQ(a.spans(), b.spans());
   EXPECT_GT(a.size(), 0u);

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "core/quorum_register_client.hpp"
-#include "core/server_process.hpp"
+#include "harness/store_harness.hpp"
 #include "net/fault_plan.hpp"
 #include "net/sim_transport.hpp"
 #include "obs/span.hpp"
@@ -81,10 +81,11 @@ std::size_t run_workload(std::uint64_t seed, obs::SpanSink& sink) {
       sim, *delay, master.fork(10),
       static_cast<net::NodeId>(kServers + kClients));
 
-  std::deque<core::ServerProcess> servers;
-  for (net::NodeId s = 0; s < static_cast<net::NodeId>(kServers); ++s) {
-    servers.emplace_back(transport, s);
-    servers.back().bind_spans(&sink, sim);
+  harness::ClusterOptions servers;
+  servers.servers = kServers;
+  harness::StoreCluster cluster(sim, transport, master, servers);
+  for (std::size_t s = 0; s < kServers; ++s) {
+    cluster.server(s).bind_spans(&sink, sim);
   }
 
   // Seeded churn plus message-level drop/duplicate/reorder — the fault mix
@@ -103,10 +104,8 @@ std::size_t run_workload(std::uint64_t seed, obs::SpanSink& sink) {
   quorum::ProbabilisticQuorums quorums(kServers, kQuorum);
   core::ClientOptions options;
   options.monotone = true;
-  options.retry.rpc_timeout = 6.0;  // retry without a deadline: ops always
-  options.retry.backoff_factor = 1.5;  // settle once the horizon heals
-  options.retry.max_backoff = 24.0;
-  options.retry.jitter = 0.1;
+  // No deadline: every op retries until the horizon heal lets it settle.
+  options.retry = harness::store_retry();
   options.spans = &sink;
 
   std::deque<core::QuorumRegisterClient> clients;
@@ -117,17 +116,8 @@ std::size_t run_workload(std::uint64_t seed, obs::SpanSink& sink) {
   }
 
   plan.install(sim, transport);
-  // Horizon recovery, after the plan so its events at the horizon fire
-  // first: every fault clears, so every retrying op completes.
-  sim.schedule_at(kHorizon, [&transport] {
-    net::FaultInjector& inj = transport.faults();
-    for (net::NodeId s = 0; s < static_cast<net::NodeId>(kServers); ++s) {
-      inj.recover(s);
-      inj.clear_slow(s);
-    }
-    inj.heal();
-    inj.set_message_faults(net::MessageFaults{});
-  });
+  // After the plan, so its events at the horizon fire first.
+  cluster.heal_at(kHorizon);
 
   std::size_t completed = 0;
   std::deque<Driver> drivers;
