@@ -424,8 +424,7 @@ class AvailLoop {
 /// One availability run of one quorum system under one churn schedule.
 AvailTally run_availability_once(const quorum::QuorumSystem& quorums,
                                  double downtime_frac, double horizon,
-                                 std::uint64_t seed,
-                                 harness::Recovery recovery,
+                                 std::uint64_t seed, harness::Recovery recovery,
                                  std::size_t snapshot_every,
                                  obs::Registry* metrics) {
   const std::size_t n = quorums.num_servers();
@@ -623,10 +622,12 @@ StoreRunOutput run_store_once(harness::RunOptions options, double churn,
   out.shard = std::make_unique<obs::Registry>(obs::Concurrency::kSingleThread);
   options.cluster.metrics = out.shard.get();
   harness::StoreRun store(run_seed, options);
-  store.install(churn > 0.0 ? harness::churn_plan(options.cluster.servers,
-                                                  churn, options.horizon,
-                                                  run_seed)
-                            : plan);
+  if (churn > 0.0) {
+    store.install(harness::churn_plan(options.cluster.servers, churn,
+                                      options.horizon, run_seed));
+  } else {
+    store.install(plan);
+  }
   store.run_workload();
 
   out.fingerprint = store.simulator().fingerprint();

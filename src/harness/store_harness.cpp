@@ -222,10 +222,10 @@ void StoreRun::issue(std::size_t i) {
         per_client > 1 ? static_cast<std::size_t>(loop.rng.below(per_client))
                        : 0;
     const std::size_t writers = options_.writers_per_key;
-    const std::size_t owner =
-        writers > 1 ? (i + static_cast<std::size_t>(loop.rng.below(writers))) %
-                          clients
-                    : i;
+    std::size_t owner = i;
+    if (writers > 1) {
+      owner = (i + static_cast<std::size_t>(loop.rng.below(writers))) % clients;
+    }
     ++puts_;
     clients_[i].write(static_cast<net::KeyId>(slot * clients + owner),
                       util::encode(++loop.next_value),

@@ -128,8 +128,8 @@ TEST(ReplicaTest, DecodeStoreRejectsEveryTruncationAndSubstitution) {
     }
     return out;
   };
-  attempt(raw(std::uint64_t{1} << 40, 0));             // count 2^40, 8 bytes
-  attempt(raw(1, ~std::uint64_t{0} - 10));             // off + len wraps
+  attempt(raw(std::uint64_t{1} << 40, 0));  // count 2^40, 8 bytes
+  attempt(raw(1, ~std::uint64_t{0} - 10));  // off + len wraps
   EXPECT_THROW(Replica::decode_store(raw(std::uint64_t{1} << 40, 0)),
                std::logic_error);
   EXPECT_THROW(Replica::decode_store(raw(1, ~std::uint64_t{0} - 10)),

@@ -131,9 +131,7 @@ TEST(DurabilityBaselineTest, PreDurabilityFingerprintsAreUnchanged) {
 // durable schedule cannot pass unnoticed.
 std::uint64_t sweep_digest(ScheduleProfile (*transform)(ScheduleProfile)) {
   std::uint64_t h = 1469598103934665603ULL;
-  const auto mix = [&h](std::uint64_t x) {
-    h = (h ^ x) * 1099511628211ULL;
-  };
+  const auto mix = [&h](std::uint64_t x) { h = (h ^ x) * 1099511628211ULL; };
   for (std::uint64_t seed = 0; seed < 200; ++seed) {
     const RunOutcome out =
         run_profile(transform(ScheduleProfile::from_seed(seed)));

@@ -114,12 +114,17 @@ TEST(ExploreDurabilityTest, GarbageNumbersAreBadProfileLines) {
   const std::string text = ScheduleProfile::from_seed(3).serialize();
   ASSERT_NO_THROW(ScheduleProfile::parse(text));
   const std::pair<const char*, const char*> garbage[] = {
-      {"seed", "-1"},          {"servers", "-1"},
+      {"seed", "-1"},
+      {"servers", "-1"},
       {"ops", "99999999999999999999999"},
-      {"horizon", "nan"},      {"horizon", "inf"},
-      {"gossip", "inf"},       {"gossip", "-5"},
-      {"key-skew", "nan"},     {"snapshot-every", "-1"},
-      {"quorum", " 2"},        {"clients", "2x"},
+      {"horizon", "nan"},
+      {"horizon", "inf"},
+      {"gossip", "inf"},
+      {"gossip", "-5"},
+      {"key-skew", "nan"},
+      {"snapshot-every", "-1"},
+      {"quorum", " 2"},
+      {"clients", "2x"},
   };
   for (const auto& [key, value] : garbage) {
     std::istringstream in(text);
