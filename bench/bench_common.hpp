@@ -16,18 +16,27 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "util/math.hpp"
+
 namespace pqra::bench {
 
+/// The knob \p name as a whole number, \p fallback when it is unset; a
+/// value that is not one (a sign, a fraction, trailing text) exits 2
+/// naming the variable.
 inline std::size_t env_size_t(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr) return fallback;
-  char* end = nullptr;
-  unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v) return fallback;
-  return static_cast<std::size_t>(parsed);
+  const std::optional<std::size_t> parsed = util::parse_whole<std::size_t>(v);
+  if (!parsed) {
+    std::fprintf(stderr, "bad value '%s' for %s: expected a whole number\n",
+                 v, name);
+    std::exit(2);
+  }
+  return *parsed;
 }
 
 inline bool env_fast() { return env_size_t("PQRA_FAST", 0) != 0; }

@@ -1,10 +1,10 @@
 #include "net/fault_plan.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <iterator>
+#include <optional>
 #include <string_view>
 
 #include "util/check.hpp"
@@ -192,26 +192,20 @@ void for_each_piece(std::string_view text, char sep, Fn&& fn) {
   }
 }
 
-/// Reads all of \p text as a T with std::from_chars, or fails the clause.
-template <typename T>
-T parse_whole(std::string_view clause, std::string_view text,
-              const char* expected) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end) parse_fail(clause, expected);
-  return value;
-}
-
-/// A number; range rules are event_error's and message_faults_error's.
+/// A finite number; range rules are event_error's and
+/// message_faults_error's.
 double parse_number(std::string_view clause, std::string_view text) {
-  return parse_whole<double>(clause, text, "expected a number");
+  const std::optional<double> value = util::parse_whole<double>(text);
+  if (!value) parse_fail(clause, "expected a finite number");
+  return *value;
 }
 
 /// A node or key id: a whole number that fits 32 bits.
 std::uint32_t parse_id(std::string_view clause, std::string_view text) {
-  return parse_whole<std::uint32_t>(clause, text,
-                                    "expected a whole-number id below 2^32");
+  const std::optional<std::uint32_t> id =
+      util::parse_whole<std::uint32_t>(text);
+  if (!id) parse_fail(clause, "expected a whole-number id below 2^32");
+  return *id;
 }
 
 /// A node-or-key target position: `7` names node 7, `k7` names the node

@@ -1,7 +1,7 @@
 #include "sim/delay_model.hpp"
 
 #include <cmath>
-#include <cstdlib>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -162,45 +162,42 @@ DelaySpec DelaySpec::parse(const std::string& text) {
   std::istringstream in(text);
   std::string item;
   while (std::getline(in, item, ':')) parts.push_back(item);
-  auto number = [&](std::size_t i) {
-    char* end = nullptr;
-    double v = std::strtod(parts[i].c_str(), &end);
-    if (end == parts[i].c_str() || *end != '\0') {
-      throw std::logic_error("bad delay spec '" + text +
-                             "': expected a number");
-    }
-    return v;
+  const auto fail = [&](const char* why) {
+    throw std::logic_error("bad delay spec '" + text + "': " + why);
   };
-  auto arity = [&](std::size_t n) {
-    if (parts.size() != n + 1) {
-      throw std::logic_error("bad delay spec '" + text +
-                             "': wrong parameter count");
-    }
+  const auto number = [&](std::size_t i) {
+    const std::optional<double> v = util::parse_whole<double>(parts[i]);
+    if (!v) fail("expected a finite number");
+    return *v;
   };
-  DelaySpec spec;
+  const auto arity = [&](std::size_t n) {
+    if (parts.size() != n + 1) fail("wrong parameter count");
+  };
   if (parts.empty()) throw std::logic_error("empty delay spec");
+  DelaySpec spec;
+  bool in_range = false;
   if (parts[0] == "constant") {
     arity(1);
-    spec.kind = Kind::kConstant;
-    spec.a = number(1);
+    spec = {Kind::kConstant, number(1)};
+    in_range = spec.a >= 0.0;
   } else if (parts[0] == "exp") {
     arity(1);
-    spec.kind = Kind::kExponential;
-    spec.a = number(1);
+    spec = {Kind::kExponential, number(1)};
+    in_range = spec.a > 0.0;
   } else if (parts[0] == "uniform") {
     arity(2);
-    spec.kind = Kind::kUniform;
-    spec.a = number(1);
-    spec.b = number(2);
+    spec = {Kind::kUniform, number(1), number(2)};
+    in_range = spec.a >= 0.0 && spec.b >= spec.a;
   } else if (parts[0] == "lognormal") {
     arity(3);
-    spec.kind = Kind::kLognormal;
-    spec.a = number(1);
-    spec.b = number(2);
-    spec.c = number(3);
+    spec = {Kind::kLognormal, number(1), number(2), number(3)};
+    in_range = spec.a >= 0.0 && spec.c >= 0.0;
   } else {
-    throw std::logic_error("bad delay spec '" + text + "': unknown kind");
+    fail("unknown kind");
   }
+  // The model constructors' own ranges, so a bad spec fails here and not
+  // in the middle of a run.
+  if (!in_range) fail("parameter out of range");
   return spec;
 }
 

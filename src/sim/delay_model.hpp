@@ -70,7 +70,10 @@ struct DelaySpec {
 
   std::string serialize() const;
 
-  /// Parses the grammar above; throws std::logic_error on bad input.
+  /// Parses the grammar above; throws std::logic_error on bad input.  Each
+  /// number is read whole (util::parse_whole) and must be finite and inside
+  /// its model's range: D >= 0, MEAN > 0, 0 <= LO <= HI, MIN >= 0 and
+  /// SIGMA >= 0.
   static DelaySpec parse(const std::string& text);
 
   friend bool operator==(const DelaySpec& x, const DelaySpec& y) {

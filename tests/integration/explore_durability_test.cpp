@@ -125,6 +125,15 @@ TEST(ExploreDurabilityTest, GarbageNumbersAreBadProfileLines) {
       {"snapshot-every", "-1"},
       {"quorum", " 2"},
       {"clients", "2x"},
+      // Delay parameters outside the model constructors' ranges, and
+      // numbers strtod read but from_chars does not.
+      {"delay", "exp:-1"},
+      {"delay", "exp:nan"},
+      {"delay", "lognormal:0.1:0:nan"},
+      {"delay", "constant:inf"},
+      {"delay", "uniform:0:inf"},
+      {"delay", "exp: 1"},
+      {"delay", "exp:0x1p1"},
   };
   for (const auto& [key, value] : garbage) {
     std::istringstream in(text);

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "util/rng.hpp"
 
 namespace pqra::util {
 namespace {
@@ -148,6 +156,41 @@ TEST(SaturatingAddTest, NormalAndInfinite) {
   EXPECT_EQ(saturating_add(3, kPathInf), kPathInf);
   EXPECT_EQ(saturating_add(kPathInf, kPathInf), kPathInf);
   EXPECT_EQ(saturating_add(kPathInf - 1, kPathInf - 1), kPathInf);
+}
+
+TEST(ShortestDoubleTest, RoundValuesStayPlainAndEveryValueRoundTrips) {
+  // Round values print plainly (10, not 1e+01) in every serialized plan and
+  // profile.
+  EXPECT_EQ(format_double(10.0), "10");
+  EXPECT_EQ(format_double(600.0), "600");
+  EXPECT_EQ(format_double(1e-05), "1e-05");
+  EXPECT_EQ(format_double(0.25), "0.25");
+  EXPECT_EQ(format_double(-3.0), "-3");
+  EXPECT_EQ(format_double(std::numeric_limits<double>::infinity()), "inf");
+  EXPECT_EQ(format_double(std::nan("")), "nan");
+
+  // parse_whole reads every finite rendering back to the identical bits.
+  Rng rng(11);
+  std::vector<double> values = {0.1,
+                                1.0 / 3.0,
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::max(),
+                                -0.0};
+  for (int i = 0; i < 2000; ++i) {
+    // Random bit patterns cover every exponent; non-finite ones are skipped.
+    const double x = std::bit_cast<double>(rng());
+    if (std::isfinite(x)) values.push_back(x);
+    values.push_back(rng.uniform01() * 1000.0);
+  }
+  for (const double x : values) {
+    const std::string text = format_double(x);
+    const std::optional<double> back = parse_whole<double>(text);
+    ASSERT_TRUE(back.has_value()) << text;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(*back),
+              std::bit_cast<std::uint64_t>(x))
+        << text;
+  }
 }
 
 }  // namespace

@@ -18,11 +18,12 @@
 
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "explore/profile.hpp"
@@ -33,6 +34,7 @@
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "sim/parallel_runner.hpp"
+#include "util/math.hpp"
 
 namespace {
 
@@ -110,10 +112,20 @@ int usage(const char* argv0) {
   return 2;
 }
 
-bool parse_u64_arg(const std::string& s, std::uint64_t* out) {
-  char* end = nullptr;
-  *out = std::strtoull(s.c_str(), &end, 10);
-  return end != s.c_str() && *end == '\0';
+/// The whole of \p text as a T (util::parse_whole); nullopt when \p text is
+/// missing or is not one whole, finite number.
+template <typename T>
+std::optional<T> number(const char* text) {
+  if (text == nullptr) return std::nullopt;
+  return pqra::util::parse_whole<T>(text);
+}
+
+/// The usage error for a flag whose value is missing, malformed or out of
+/// range, naming the flag.
+int bad_value(const char* argv0, const std::string& flag, const char* text) {
+  std::cerr << "pqra_explore: bad value '" << (text != nullptr ? text : "")
+            << "' for " << flag << "\n";
+  return usage(argv0);
 }
 
 std::string sanitize(const std::string& rule) {
@@ -389,31 +401,33 @@ int main(int argc, char** argv) {
     };
     if (arg == "--seed-range") {
       const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      const std::string range = v;
+      const std::string_view range = v != nullptr ? v : "";
       const std::size_t colon = range.find(':');
-      if (colon == std::string::npos ||
-          !parse_u64_arg(range.substr(0, colon), &opt.seed_begin) ||
-          !parse_u64_arg(range.substr(colon + 1), &opt.seed_end) ||
-          opt.seed_end <= opt.seed_begin) {
-        return usage(argv[0]);
-      }
+      using pqra::util::parse_whole;
+      const auto begin = parse_whole<std::uint64_t>(range.substr(0, colon));
+      const auto end =
+          colon == std::string_view::npos
+              ? std::nullopt
+              : parse_whole<std::uint64_t>(range.substr(colon + 1));
+      if (!begin || !end || *end <= *begin) return bad_value(argv[0], arg, v);
+      opt.seed_begin = *begin;
+      opt.seed_end = *end;
       opt.have_range = true;
     } else if (arg == "--minutes") {
       const char* v = next();
-      if (v == nullptr) return usage(argv[0]);
-      opt.minutes = std::atof(v);
-      if (opt.minutes <= 0.0) return usage(argv[0]);
+      const auto minutes = number<double>(v);
+      if (!minutes || *minutes <= 0.0) return bad_value(argv[0], arg, v);
+      opt.minutes = *minutes;
     } else if (arg == "--start-seed") {
       const char* v = next();
-      if (v == nullptr || !parse_u64_arg(v, &opt.start_seed)) {
-        return usage(argv[0]);
-      }
+      const auto seed = number<std::uint64_t>(v);
+      if (!seed) return bad_value(argv[0], arg, v);
+      opt.start_seed = *seed;
     } else if (arg == "--jobs") {
       const char* v = next();
-      std::uint64_t jobs = 0;
-      if (v == nullptr || !parse_u64_arg(v, &jobs)) return usage(argv[0]);
-      opt.jobs = static_cast<std::size_t>(jobs);
+      const auto jobs = number<std::size_t>(v);
+      if (!jobs) return bad_value(argv[0], arg, v);
+      opt.jobs = *jobs;
     } else if (arg == "--repro-dir") {
       const char* v = next();
       if (v == nullptr) return usage(argv[0]);
@@ -432,23 +446,19 @@ int main(int argc, char** argv) {
       opt.metrics_out = v;
     } else if (arg == "--max-violations") {
       const char* v = next();
-      std::uint64_t n = 0;
-      if (v == nullptr || !parse_u64_arg(v, &n) || n == 0) {
-        return usage(argv[0]);
-      }
-      opt.max_violations = static_cast<std::size_t>(n);
+      const auto n = number<std::size_t>(v);
+      if (!n || *n == 0) return bad_value(argv[0], arg, v);
+      opt.max_violations = *n;
     } else if (arg == "--shrink-budget") {
       const char* v = next();
-      std::uint64_t n = 0;
-      if (v == nullptr || !parse_u64_arg(v, &n)) return usage(argv[0]);
-      opt.shrink_budget = static_cast<std::size_t>(n);
+      const auto n = number<std::size_t>(v);
+      if (!n) return bad_value(argv[0], arg, v);
+      opt.shrink_budget = *n;
     } else if (arg == "--flightrec") {
       const char* v = next();
-      std::uint64_t n = 0;
-      if (v == nullptr || !parse_u64_arg(v, &n) || n == 0) {
-        return usage(argv[0]);
-      }
-      opt.flightrec = static_cast<std::size_t>(n);
+      const auto n = number<std::size_t>(v);
+      if (!n || *n == 0) return bad_value(argv[0], arg, v);
+      opt.flightrec = *n;
     } else if (arg == "--no-shrink") {
       opt.no_shrink = true;
     } else if (arg == "--force-multikey") {

@@ -1,8 +1,7 @@
 #include "explore/profile.hpp"
 
 #include <algorithm>
-#include <charconv>
-#include <cmath>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,26 +20,17 @@ using DelayKind = sim::DelaySpec::Kind;
                          line);
 }
 
-/// The whole of \p value as a T: no sign on an integer, no overflow, no
-/// leading space or trailing text.
-template <typename T>
-T parse_whole(const std::string& value, const std::string& line,
-              const char* why) {
-  T v{};
-  const char* end = value.data() + value.size();
-  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
-  if (ec != std::errc() || ptr != end) bad_line(line, why);
-  return v;
-}
-
 std::uint64_t parse_u64(const std::string& value, const std::string& line) {
-  return parse_whole<std::uint64_t>(value, line, "expected integer");
+  const std::optional<std::uint64_t> v =
+      util::parse_whole<std::uint64_t>(value);
+  if (!v) bad_line(line, "expected integer");
+  return *v;
 }
 
 double parse_f64(const std::string& value, const std::string& line) {
-  const double v = parse_whole<double>(value, line, "expected number");
-  if (!std::isfinite(v)) bad_line(line, "expected a finite number");
-  return v;
+  const std::optional<double> v = util::parse_whole<double>(value);
+  if (!v) bad_line(line, "expected a finite number");
+  return *v;
 }
 
 bool parse_bool(const std::string& value, const std::string& line) {
@@ -233,7 +223,11 @@ ScheduleProfile ScheduleProfile::parse(const std::string& text) {
       p.gossip_interval = parse_f64(value, line);
       if (p.gossip_interval < 0.0) bad_line(line, "expected a period >= 0");
     } else if (key == "delay") {
-      p.delay = sim::DelaySpec::parse(value);
+      try {
+        p.delay = sim::DelaySpec::parse(value);
+      } catch (const std::logic_error& e) {
+        bad_line(line, e.what());
+      }
     } else if (key == "horizon") {
       p.horizon = parse_f64(value, line);
     } else if (key == "faults") {
