@@ -163,6 +163,8 @@ StoreRun::StoreRun(std::uint64_t seed, const RunOptions& options)
       16;
   for (std::size_t s = 0; s < cluster_.size(); ++s) {
     cluster_.server(s).replica().reserve(per_server);
+    // Each traced RPC gets its server_handle child in the clients' sink.
+    cluster_.server(s).bind_spans(options.spans, simulator_);
   }
   history_.reserve(keys + 4 * options.clients * options.ops);
   for (std::size_t key = 0; key < keys; ++key) {

@@ -145,6 +145,7 @@ struct RunOptions {
   sim::DelaySpec delay{sim::DelaySpec::Kind::kExponential, 1.0};
   /// Faults live in [0, horizon]; install() heals the cluster there.
   sim::Time horizon = 600.0;
+  /// The clients' and the servers' causal spans; null = none.
   obs::SpanSink* spans = nullptr;
 };
 

@@ -1,7 +1,7 @@
 # Cross-commit pin of experiment_cli's store and availability output (driven
 # by the cli_golden ctest entry): each configuration below runs once, and its
-# stdout (minus the "wrote ... to <path>" lines), exit status and metrics
-# JSON must equal the goldens in tests/golden/cli/.  The cli_*_determinism
+# stdout (minus the "wrote ... to <path>" lines), exit status and the metrics
+# JSON of its run report must equal the goldens in tests/golden/cli/.  The cli_*_determinism
 # tests only compare one build against itself across --jobs values; this one
 # catches a change that moves a schedule, a tally or a counter.
 #
@@ -21,18 +21,20 @@ file(MAKE_DIRECTORY "${WORK_DIR}")
 
 set(failures "")
 
-# Runs experiment_cli with ARGN plus a metrics export and compares (or, with
-# UPDATE, rewrites) the three pinned artifacts of ${label}.
+# Runs experiment_cli with ARGN plus a run report and compares (or, with
+# UPDATE, rewrites) the three pinned artifacts of ${label}: stdout, exit
+# status and the report's metrics.json.
 function(golden label)
-  set(json "${WORK_DIR}/${label}.metrics.json")
   execute_process(
-    COMMAND "${CLI}" ${ARGN} jobs=1 "metrics-out=${json}"
+    COMMAND "${CLI}" ${ARGN} jobs=1 "report=${WORK_DIR}/${label}"
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
   string(REGEX REPLACE "wrote [^\n]*\n" "" out "${out}")
   file(WRITE "${WORK_DIR}/${label}.stdout" "${out}")
   file(WRITE "${WORK_DIR}/${label}.rc" "${rc}\n")
+  file(COPY_FILE "${WORK_DIR}/${label}/metrics.json"
+       "${WORK_DIR}/${label}.metrics.json")
   if(UPDATE)
     foreach(ext stdout rc metrics.json)
       file(COPY_FILE "${WORK_DIR}/${label}.${ext}"

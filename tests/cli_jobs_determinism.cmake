@@ -1,8 +1,8 @@
 # Jobs-invariance check at the CLI level (driven by the cli_jobs_determinism
 # ctest entry): the parallel replication driver must be a pure wall-clock
-# optimisation — stdout, the metrics JSON, the Prometheus export and the
-# run-0 history (--trace-out) must be byte-identical between --jobs 1 and
-# --jobs 8, with and without a fault plan.  See docs/PERFORMANCE.md for the
+# optimisation — stdout and the run report's metrics JSON, Prometheus export
+# and run-0 history must be byte-identical between --jobs 1 and --jobs 8,
+# with and without a fault plan.  See docs/PERFORMANCE.md for the
 # contract.
 #
 # Inputs: -DCLI=<path to experiment_cli> -DWORK_DIR=<scratch directory>
@@ -24,8 +24,8 @@ function(check_identical label a b)
   endif()
 endfunction()
 
-# Scenario 1: fault-free synchronous multi-run experiment, all export
-# formats (the faulted scenario below covers async).
+# Scenario 1: fault-free synchronous multi-run experiment (the faulted
+# scenario below covers async).
 set(base_args app=apsp graph=chain size=10 quorum=prob k=3 servers=8
     monotone=1 sync=1 runs=6 cap=5000 seed=5)
 # Scenario 2: the same workload under an explicit fault plan (retries,
@@ -41,10 +41,7 @@ foreach(scenario base fault)
     set(dir "${WORK_DIR}/${scenario}_j${jobs}")
     file(MAKE_DIRECTORY "${dir}")
     execute_process(
-      COMMAND "${CLI}" ${${scenario}_args} jobs=${jobs}
-              "metrics-out=${dir}/metrics.json"
-              "prom-out=${dir}/metrics.prom"
-              "trace-out=${dir}/trace.jsonl"
+      COMMAND "${CLI}" ${${scenario}_args} jobs=${jobs} "report=${dir}"
       RESULT_VARIABLE rc
       OUTPUT_VARIABLE out
       ERROR_VARIABLE err)
@@ -66,5 +63,5 @@ foreach(scenario base fault)
   check_identical("${scenario}: Prometheus export"
                   "${d1}/metrics.prom" "${d8}/metrics.prom")
   check_identical("${scenario}: op trace"
-                  "${d1}/trace.jsonl" "${d8}/trace.jsonl")
+                  "${d1}/history.jsonl" "${d8}/history.jsonl")
 endforeach()

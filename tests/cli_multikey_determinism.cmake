@@ -1,8 +1,8 @@
 # Jobs-invariance check for the sharded multi-key store app (driven by the
 # cli_multikey_determinism ctest entry): on a mixed-key Zipfian workload —
-# fault-free and under a key-addressed fault plan — stdout, the metrics
-# JSON, the Prometheus export, the run-0 history and the causal spans must be
-# byte-identical between --jobs 1 and --jobs 8.  See docs/SHARDING.md and
+# fault-free and under a key-addressed fault plan — stdout and the run
+# report's metrics JSON, Prometheus export, run-0 history and causal spans
+# (every op sampled) must be byte-identical between --jobs 1 and --jobs 8.  See docs/SHARDING.md and
 # docs/PERFORMANCE.md for the contract.
 #
 # Inputs: -DCLI=<path to experiment_cli> -DWORK_DIR=<scratch directory>
@@ -27,7 +27,7 @@ endfunction()
 # Scenario 1: fault-free mixed-key workload, Zipf-skewed reads, sharded
 # onto 3-replica consistent-hash groups.
 set(base_args app=store keys=512 theta=0.7 servers=12 replicas=3 k=2
-    vnodes=8 clients=4 ops=60 runs=4 seed=9)
+    vnodes=8 clients=4 ops=60 runs=4 seed=9 span-sample=1)
 # Scenario 2: the same workload under a fault plan with key-addressed
 # targets (crash:k5 = "crash key 5's primary replica") plus a node outage
 # and message drops — retries, fault metrics and the recorded histories
@@ -35,7 +35,7 @@ set(base_args app=store keys=512 theta=0.7 servers=12 replicas=3 k=2
 # The plan's clauses are joined by \; so CMake passes them as ONE argument
 # (a bare ; would split the list and drop every clause after the first).
 set(fault_args app=store keys=512 theta=0.7 servers=12 replicas=3 k=2
-    vnodes=8 clients=4 ops=60 runs=3 seed=9
+    vnodes=8 clients=4 ops=60 runs=3 seed=9 span-sample=1
     "fault-plan=crash:k5@20\;recover:k5@120\;outage:2@40-90\;drop=0.01")
 
 foreach(scenario base fault)
@@ -43,11 +43,7 @@ foreach(scenario base fault)
     set(dir "${WORK_DIR}/${scenario}_j${jobs}")
     file(MAKE_DIRECTORY "${dir}")
     execute_process(
-      COMMAND "${CLI}" ${${scenario}_args} jobs=${jobs}
-              "metrics-out=${dir}/metrics.json"
-              "prom-out=${dir}/metrics.prom"
-              "trace-out=${dir}/trace.jsonl"
-              "spans-out=${dir}/spans.jsonl"
+      COMMAND "${CLI}" ${${scenario}_args} jobs=${jobs} "report=${dir}"
       RESULT_VARIABLE rc
       OUTPUT_VARIABLE out
       ERROR_VARIABLE err)
@@ -69,7 +65,7 @@ foreach(scenario base fault)
   check_identical("${scenario}: Prometheus export"
                   "${d1}/metrics.prom" "${d8}/metrics.prom")
   check_identical("${scenario}: op trace"
-                  "${d1}/trace.jsonl" "${d8}/trace.jsonl")
+                  "${d1}/history.jsonl" "${d8}/history.jsonl")
   check_identical("${scenario}: spans"
                   "${d1}/spans.jsonl" "${d8}/spans.jsonl")
 endforeach()

@@ -1,6 +1,6 @@
 # Replay-determinism check at the CLI level (driven by the cli_fault_replay
 # ctest entry): run experiment_cli twice with the same --fault-plan and seed
-# and require the exported metrics JSON files to be byte-identical.
+# and require the metrics JSON of the two run reports to be byte-identical.
 #
 # Inputs: -DCLI=<path to experiment_cli> -DWORK_DIR=<scratch directory>
 
@@ -19,8 +19,7 @@ set(common_args
 
 foreach(run a b)
   execute_process(
-    COMMAND "${CLI}" ${common_args}
-            "metrics-out=${WORK_DIR}/metrics_${run}.json"
+    COMMAND "${CLI}" ${common_args} "report=${WORK_DIR}/${run}"
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)
@@ -32,10 +31,10 @@ endforeach()
 
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files
-          "${WORK_DIR}/metrics_a.json" "${WORK_DIR}/metrics_b.json"
+          "${WORK_DIR}/a/metrics.json" "${WORK_DIR}/b/metrics.json"
   RESULT_VARIABLE diff)
 if(NOT diff EQUAL 0)
   message(FATAL_ERROR
     "metrics JSON diverged between two runs with the same fault plan and "
-    "seed: ${WORK_DIR}/metrics_a.json vs ${WORK_DIR}/metrics_b.json")
+    "seed: ${WORK_DIR}/a/metrics.json vs ${WORK_DIR}/b/metrics.json")
 endif()

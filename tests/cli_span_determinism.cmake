@@ -1,9 +1,9 @@
 # Span determinism at the CLI level (driven by the cli_span_determinism
-# ctest entry): the causal span export is recorded on run 0 only and its
-# sampling decision is a pure function of (seed, proc, op), so the span
-# JSONL and the Chrome trace must be byte-identical between --jobs 1 and
-# --jobs 4, fault-free and under a fault plan (which exercises the retry /
-# unanswered-RPC span paths).  See docs/OBSERVABILITY.md for the contract.
+# ctest entry): the causal spans are recorded on run 0 only and their
+# sampling decision is a pure function of (seed, proc, op), so the run
+# report's span JSONL and Chrome trace must be byte-identical between
+# --jobs 1 and --jobs 4, fault-free and under a fault plan (which exercises
+# the retry / unanswered-RPC span paths).  See docs/OBSERVABILITY.md for the contract.
 #
 # Inputs: -DCLI=<path to experiment_cli> -DWORK_DIR=<scratch directory>
 
@@ -40,9 +40,7 @@ foreach(scenario base fault)
     set(dir "${WORK_DIR}/${scenario}_j${jobs}")
     file(MAKE_DIRECTORY "${dir}")
     execute_process(
-      COMMAND "${CLI}" ${${scenario}_args} jobs=${jobs}
-              "spans-out=${dir}/spans.jsonl"
-              "spans-chrome-out=${dir}/spans.json"
+      COMMAND "${CLI}" ${${scenario}_args} jobs=${jobs} "report=${dir}"
       RESULT_VARIABLE rc
       OUTPUT_VARIABLE out
       ERROR_VARIABLE err)
@@ -62,5 +60,5 @@ foreach(scenario base fault)
   check_identical("${scenario}: span JSONL"
                   "${d1}/spans.jsonl" "${d4}/spans.jsonl")
   check_identical("${scenario}: span Chrome trace"
-                  "${d1}/spans.json" "${d4}/spans.json")
+                  "${d1}/spans.chrome.json" "${d4}/spans.chrome.json")
 endforeach()

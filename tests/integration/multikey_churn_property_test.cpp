@@ -57,11 +57,6 @@ RunResult run_workload(std::uint64_t seed, obs::SpanSink* sink) {
   options.horizon = kHorizon;
   options.spans = sink;
   harness::StoreRun store(seed, options);
-  if (sink != nullptr) {
-    for (std::size_t s = 0; s < kServers; ++s) {
-      store.cluster().server(s).bind_spans(sink, store.simulator());
-    }
-  }
 
   // Seeded churn plus message drop/duplicate/reorder — the fault mix the
   // property quantifies over.  The harness heals it all at the horizon and
@@ -113,12 +108,14 @@ TEST_P(MultiKeyChurnProperty, KeyPartitionedSpecHoldsUnderChurn) {
   EXPECT_EQ(r.batch.keys_checked, kTotalKeys) << "seed " << seed;
 
   // Span trees stay key-consistent: no orphans or leaks, a tree never
-  // mixes keys, and every RPC attempt lands inside the key's replica
-  // group.
+  // mixes keys, every RPC attempt lands inside the key's replica group, and
+  // the harness binds every server to the sink, so each server_handle span
+  // hangs under an RPC attempt to that same server.
   EXPECT_NO_THROW(sink.check(/*require_closed=*/true)) << "seed " << seed;
   std::vector<net::NodeId> group;
   const std::vector<obs::SpanRecord>& spans = sink.spans();
   std::size_t rpc_attempts = 0;
+  std::size_t server_handles = 0;
   for (const obs::SpanRecord& rec : spans) {
     if (rec.parent != 0) {
       ASSERT_LT(rec.parent, rec.id);
@@ -134,8 +131,20 @@ TEST_P(MultiKeyChurnProperty, KeyPartitionedSpecHoldsUnderChurn) {
           << "seed " << seed << ": RPC for key " << rec.reg
           << " left its replica group (server " << rec.server << ")";
     }
+    if (rec.kind == obs::SpanKind::kServerHandle) {
+      ++server_handles;
+      ASSERT_NE(rec.parent, 0u) << "seed " << seed;
+      const obs::SpanRecord& rpc = spans[rec.parent - 1];
+      EXPECT_EQ(rpc.kind, obs::SpanKind::kRpcAttempt)
+          << "seed " << seed << ": server_handle " << rec.id
+          << " is not under an RPC attempt";
+      EXPECT_EQ(rpc.server, rec.server)
+          << "seed " << seed << ": server " << rec.server
+          << " handled an RPC sent to server " << rpc.server;
+    }
   }
   EXPECT_GT(rpc_attempts, 0u) << "seed " << seed;
+  EXPECT_GT(server_handles, 0u) << "seed " << seed;
 }
 
 TEST(MultiKeyChurnTest, HistoryAndSpansAreReproducible) {
