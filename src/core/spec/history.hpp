@@ -12,7 +12,7 @@
 /// discusses.
 ///
 /// The recorder is the one per-operation record of a run: the checkers read
-/// it, and experiment_cli --trace-out writes it as JSONL
+/// it, and experiment_cli report=DIR writes it as history.jsonl
 /// (write_history_jsonl), initial values and still-pending operations
 /// included, so a re-read file checks exactly as the run did.
 

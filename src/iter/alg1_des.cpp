@@ -323,7 +323,7 @@ Alg1Result run_alg1(const AcoOperator& op, const Alg1Options& options) {
     }
     if (options.profiler != nullptr) {
       // Only the deterministic fire counts enter the registry; wall-time
-      // attribution stays in the profiler (--profile-out), because these
+      // attribution stays in the profiler (profile.json), because these
       // bytes are compared across --jobs by the determinism tests.
       reg.counter(n::kProfileFires, "Events fired with a profiler attached")
           .inc(options.profiler->total_fires());

@@ -130,8 +130,8 @@ inline constexpr const char* kFlightRecOverwritten =
 inline constexpr const char* kFlightRecCapacity = "pqra_flightrec_capacity";
 
 // DES self-profiler (sim/profiler.hpp).  Only the deterministic fire counts
-// are published into the registry; wall-time attribution goes to the
-// `--profile-out` JSON, which is nondeterministic by nature.
+// are published into the registry; wall-time attribution goes to the run
+// report's profile.json, which is nondeterministic by nature.
 inline constexpr const char* kProfileFires = "pqra_profile_fires_total";
 /// Per event tag: kProfileFiresByTag[sim::EventTag].
 inline constexpr const char* kProfileFiresByTag[] = {

@@ -20,11 +20,11 @@
 /// The two histograms use util::log2_bucket's layout, the same one
 /// obs::Histogram uses (sim links only util; tests/sim/profiler_test.cpp
 /// pins the equivalence).  Wall times are inherently nondeterministic, so
-/// they are exported *only* through write_json (`experiment_cli
-/// --profile-out`) — never into the metrics registry, whose bytes the
-/// determinism tests compare.  The deterministic fire counts are published
-/// separately by the callers that own a registry (iter/alg1_des.cpp) under
-/// names::kProfileFires*.
+/// they are exported *only* through write_json (profile.json in an
+/// `experiment_cli report=DIR` run) — never into the metrics registry,
+/// whose bytes the determinism tests compare.  The deterministic fire
+/// counts are published separately by the callers that own a registry
+/// (iter/alg1_des.cpp) under names::kProfileFires*.
 
 #include <cstdint>
 #include <iosfwd>
@@ -75,7 +75,8 @@ class Profiler {
   /// One JSON object: totals, per-tag attribution, and the two sparse
   /// histograms (wall ns per fire; simulated-time advance per fire).
   /// Wall fields make the bytes nondeterministic by design — route them to
-  /// `--profile-out` only, never into determinism-compared outputs.
+  /// the run report's profile.json only, never into determinism-compared
+  /// outputs.
   void write_json(std::ostream& out) const;
 
  private:

@@ -20,7 +20,7 @@
 #include "util/rng.hpp"
 
 /// The operation history is the one per-operation record of a run: the spec
-/// checkers read it and experiment_cli --trace-out writes it as JSONL.  These
+/// checkers read it and experiment_cli report=DIR writes it as JSONL.  These
 /// tests pin the JSONL format, the shared line reader's number handling, and
 /// that a written history re-reads into the verdict the run got.
 
