@@ -9,8 +9,9 @@
 ///   PQRA_FAST=1     shrink sweeps for a quick smoke run
 ///   PQRA_SEED=<n>   master seed (default 1)
 ///   PQRA_JOBS=<n>   worker threads for replication loops (0 / unset =
-///                   hardware concurrency).  Output is byte-identical for
-///                   any value — see docs/PERFORMANCE.md.
+///                   hardware concurrency; at most 64).  Output is
+///                   byte-identical for any value — see
+///                   docs/PERFORMANCE.md.
 
 #include <chrono>
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/parallel_runner.hpp"
 #include "util/math.hpp"
 
 namespace pqra::bench {
@@ -51,8 +53,18 @@ inline std::size_t env_runs(std::size_t fallback = 7) {
 }
 
 /// Worker threads for the replication loops (sim::ParallelRunner); 0 means
-/// hardware concurrency.
-inline std::size_t env_jobs() { return env_size_t("PQRA_JOBS", 0); }
+/// hardware concurrency.  A value above sim::kMaxJobs exits 2.
+inline std::size_t env_jobs() {
+  const std::size_t jobs = env_size_t("PQRA_JOBS", 0);
+  if (jobs > sim::kMaxJobs) {
+    std::fprintf(stderr,
+                 "bad value '%zu' for PQRA_JOBS: expected a whole number in "
+                 "[0, %zu]\n",
+                 jobs, sim::kMaxJobs);
+    std::exit(2);
+  }
+  return jobs;
+}
 
 /// Wall-clock scope behind the standard stderr timing line
 ///

@@ -111,7 +111,7 @@ double rounds_under(const apps::ApspOperator& op, std::size_t k,
     copts.monotone = true;
     for (std::size_t i = 0; i < m; ++i) {
       procs[i].client = std::make_unique<core::QuorumRegisterClient>(
-          sim, transport, static_cast<net::NodeId>(m + i), qs, 0,
+          sim, transport, static_cast<net::NodeId>(m + i), qs,
           master.fork(100 + i), copts, nullptr);
       procs[i].local.resize(m);
     }

@@ -87,6 +87,7 @@ int main() {
   const std::size_t mono_cap = 20000;
   const std::size_t plain_cap = bench::env_fast() ? 100 : 400;
   const std::uint64_t seed = bench::env_seed();
+  const std::size_t jobs = bench::env_jobs();
 
   apps::Graph g = apps::make_chain(chain);
   apps::ApspOperator op(g);
@@ -101,7 +102,7 @@ int main() {
               "lower bounds (as in the paper)\n\n",
               plain_cap);
 
-  sim::ParallelRunner pool(bench::env_jobs());
+  sim::ParallelRunner pool(jobs);
   bench::Timing timing;
 
   bench::Table table({"k", "cor7_bound", "mono_sync", "mono_async",

@@ -28,6 +28,7 @@ int main() {
   const std::size_t samples = bench::env_fast() ? 5000 : 50000;
   const std::size_t trials = bench::env_fast() ? 2000 : 20000;
   const util::Rng master(bench::env_seed());
+  const std::size_t jobs = bench::env_jobs();
 
   // Comparable sizes: FPP(5) has n = 31; everything else uses n ~ 31-36.
   std::vector<std::unique_ptr<QuorumSystem>> systems;
@@ -60,7 +61,7 @@ int main() {
     double surv_r = 0.0;
     double surv_w = 0.0;
   };
-  sim::ParallelRunner pool(bench::env_jobs());
+  sim::ParallelRunner pool(jobs);
   bench::Timing timing;
   std::vector<Row> rows = pool.map<Row>(systems.size(), [&](std::size_t i) {
     const QuorumSystem& qs = *systems[i];

@@ -71,7 +71,7 @@ AttackOutcome run_attack(std::size_t n, std::size_t k, std::size_t b,
   core::ClientOptions options;
   options.fault_bound = b;
   core::QuorumRegisterClient client(sim, transport,
-                                    static_cast<net::NodeId>(n), qs, 0,
+                                    static_cast<net::NodeId>(n), qs,
                                     util::Rng(seed).fork(9), options);
   std::size_t fabricated = 0;
   std::size_t unvouched = 0;

@@ -75,7 +75,7 @@ void BM_RegisterReadOp(benchmark::State& state) {
         0, util::encode(std::vector<std::int64_t>(34, 7)));
   }
   quorum::ProbabilisticQuorums qs(n, k);
-  core::QuorumRegisterClient client(sim, transport, n, qs, 0, util::Rng(2));
+  core::QuorumRegisterClient client(sim, transport, n, qs, util::Rng(2));
   for (auto _ : state) {
     bool done = false;
     client.read(0, [&done](core::ReadResult) { done = true; });
@@ -97,7 +97,7 @@ void BM_RegisterWriteOp(benchmark::State& state) {
         transport, static_cast<net::NodeId>(s)));
   }
   quorum::ProbabilisticQuorums qs(n, 6);
-  core::QuorumRegisterClient client(sim, transport, n, qs, 0, util::Rng(2));
+  core::QuorumRegisterClient client(sim, transport, n, qs, util::Rng(2));
   std::vector<std::int64_t> row(34, 3);
   for (auto _ : state) {
     bool done = false;

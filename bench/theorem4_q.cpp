@@ -22,6 +22,7 @@ int main() {
   using namespace pqra;
   const std::size_t samples = bench::env_fast() ? 4000 : 40000;
   const util::Rng master(bench::env_seed());
+  const std::size_t jobs = bench::env_jobs();
 
   std::printf("Theorem 4 / [R5]: q = 1 - C(n-k,k)/C(n,k); E[Y] <= 1/q\n");
   std::printf("(%zu simulated writes per configuration)\n\n", samples);
@@ -48,7 +49,7 @@ int main() {
     double mean = 0.0;
     double tail3 = 0.0;
   };
-  sim::ParallelRunner pool(bench::env_jobs());
+  sim::ParallelRunner pool(jobs);
   bench::Timing timing;
   std::vector<Row> rows = pool.map<Row>(configs.size(), [&](std::size_t i) {
     const auto [n, k] = configs[i];

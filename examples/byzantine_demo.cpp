@@ -62,10 +62,10 @@ Outcome run(std::size_t n, std::size_t k, std::size_t liars,
   core::ClientOptions options;
   options.fault_bound = fault_bound;
   core::QuorumRegisterClient writer(sim, transport,
-                                    static_cast<net::NodeId>(n), qs, 0,
+                                    static_cast<net::NodeId>(n), qs,
                                     util::Rng(seed).fork(1), options);
   core::QuorumRegisterClient reader(sim, transport,
-                                    static_cast<net::NodeId>(n + 1), qs, 0,
+                                    static_cast<net::NodeId>(n + 1), qs,
                                     util::Rng(seed).fork(2), options);
   std::function<void(int)> loop = [&](int remaining) {
     if (remaining == 0) return;

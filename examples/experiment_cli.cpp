@@ -27,12 +27,12 @@
 ///             node id past them or a `k<KEY>` target (app=store only)
 ///             exits 2 naming the clause
 ///   jobs    = worker threads for the replication loop (0 = hardware
-///             concurrency; default 0).  Runs are independent seeded
-///             replications, each with its own simulator and metrics shard,
-///             merged in run order — stdout and every report file but
-///             profile.json are byte-identical for any jobs value (the
-///             determinism regressions in tests/ enforce this).  Wall-clock
-///             timing goes to stderr.
+///             concurrency; at most sim::kMaxJobs = 64; default 0).  Runs
+///             are independent seeded replications, each with its own
+///             simulator and metrics shard, merged in run order — stdout
+///             and every report file but profile.json are byte-identical
+///             for any jobs value (the determinism regressions in tests/
+///             enforce this).  Wall-clock timing goes to stderr.
 ///
 /// app=store is the sharded multi-key register store (docs/SHARDING.md),
 /// built by the store harness (harness::StoreRun): c clients run a mixed
@@ -106,8 +106,9 @@
 /// '<key>'`), a malformed argument, a value that is not a whole number /
 /// finite number where one is expected (util::parse_whole), a number or
 /// name outside a key's range (a quorum size k outside [1, servers], a
-/// horizon <= 0, a problem size or count too small for the app), or a fault
-/// plan the run cannot install.
+/// horizon <= 0 or, under churn, one long enough for more than 10^6
+/// outages, more than sim::kMaxJobs jobs, a problem size or count too small
+/// for the app), or a fault plan the run cannot install.
 
 #include <algorithm>
 #include <chrono>
@@ -192,6 +193,18 @@ T parse_value(const std::string& key, const std::string& text,
               (hi == SIZE_MAX ? ">= " + std::to_string(lo)
                               : "in [" + std::to_string(lo) + ", " +
                                     std::to_string(hi) + "]"));
+}
+
+/// Exits 2 naming horizon when churn over \p servers until \p horizon
+/// would plan more than 10^6 outages: harness::churn_plan keeps adding
+/// outages until the horizon, so a huge one exhausts memory before any run.
+void check_churn_horizon(std::size_t servers, double horizon) {
+  constexpr double kMaxChurnOutages = 1e6;
+  if (static_cast<double>(servers) * horizon / harness::kChurnCycle >
+      kMaxChurnOutages) {
+    bad_value("horizon", horizon,
+              "a time short enough that churn plans at most 10^6 outages");
+  }
 }
 
 class Args {
@@ -534,7 +547,7 @@ AvailTally run_availability_once(const quorum::QuorumSystem& quorums,
   copts.metrics = metrics;
   core::QuorumRegisterClient client(simulator, transport,
                                     static_cast<net::NodeId>(n), quorums,
-                                    /*server_base=*/0, master.fork(2), copts);
+                                    master.fork(2), copts);
 
   AvailTally tally;
   AvailLoop loop(simulator, client, horizon, tally);
@@ -560,6 +573,7 @@ int run_availability(Args& args) {
   }
   const double horizon = args.get_f("horizon", 6000.0);
   if (!(horizon > 0.0)) bad_value("horizon", horizon, "a time > 0");
+  check_churn_horizon(servers, horizon);
   const std::string recovery_name = args.get("recovery", "memory");
   harness::Recovery recovery = harness::Recovery::kMemory;
   if (recovery_name == "amnesia") {
@@ -572,7 +586,7 @@ int run_availability(Args& args) {
   }
   const std::size_t snapshot_every = args.get_n("snapshot-every", 64);
   const std::string report_dir = args.get("report", "");
-  const std::size_t jobs = args.get_n("jobs", 0);
+  const std::size_t jobs = args.get_n("jobs", 0, 0, sim::kMaxJobs);
   args.reject_unread();
 
   std::unique_ptr<quorum::QuorumSystem> selected =
@@ -743,7 +757,7 @@ int run_store(Args& args) {
   const std::string fault_spec = args.get("fault-plan", "");
   const std::string report_dir = args.get("report", "");
   const std::uint64_t span_sample = args.get_n("span-sample", 0);
-  const std::size_t jobs = args.get_n("jobs", 0);
+  const std::size_t jobs = args.get_n("jobs", 0, 0, sim::kMaxJobs);
   args.reject_unread();
 
   if (!(churn >= 0.0 && churn < 1.0)) {
@@ -763,6 +777,7 @@ int run_store(Args& args) {
       usage_error(std::string("fault-plan: ") + e.what());
     }
   }
+  if (churn > 0.0) check_churn_horizon(servers, options.horizon);
 
   std::printf("sharded store: keys=%zu theta=%g | servers=%zu replicas=%zu "
               "k=%zu vnodes=%zu | clients=%zu ops=%zu%s | %zu runs\n\n",
@@ -854,7 +869,7 @@ int main(int argc, char** argv) {
   const std::string fault_spec = args.get("fault-plan", "");
   const std::string report_dir = args.get("report", "");
   const std::uint64_t span_sample = args.get_n("span-sample", 0);
-  const std::size_t jobs = args.get_n("jobs", 0);
+  const std::size_t jobs = args.get_n("jobs", 0, 0, sim::kMaxJobs);
   args.reject_unread();
 
   util::Rng rng(seed);

@@ -35,9 +35,9 @@ int main() {
   core::spec::HistoryRecorder history;
   core::ClientOptions monotone;
   monotone.monotone = true;
-  core::QuorumRegisterClient writer(sim, transport, n, quorums, 0,
-                                    util::Rng(1), {}, &history);
-  core::QuorumRegisterClient reader(sim, transport, n + 1, quorums, 0,
+  core::QuorumRegisterClient writer(sim, transport, n, quorums, util::Rng(1),
+                                    {}, &history);
+  core::QuorumRegisterClient reader(sim, transport, n + 1, quorums,
                                     util::Rng(2), monotone, &history);
 
   std::printf("cluster: %zu servers, %s, quorum size 4\n", n,

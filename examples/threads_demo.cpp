@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < readers; ++i) {
       reader_threads.emplace_back([&, i] {
         core::BlockingRegisterClient reader(
-            transport, static_cast<net::NodeId>(n + 1 + i), qs, 0,
+            transport, static_cast<net::NodeId>(n + 1 + i), qs,
             util::Rng(100 + i), /*monotone=*/true);
         core::Timestamp last = 0;
         while (!done.load()) {
@@ -66,7 +66,7 @@ int main(int argc, char** argv) {
     }
 
     core::BlockingRegisterClient writer(transport,
-                                        static_cast<net::NodeId>(n), qs, 0,
+                                        static_cast<net::NodeId>(n), qs,
                                         util::Rng(1));
     for (std::int64_t v = 1; v <= 500; ++v) {
       writer.write(0, util::encode(v));

@@ -13,9 +13,9 @@ ApproxAgreementOperator::ApproxAgreementOperator(std::vector<double> inputs,
     : inputs_(std::move(inputs)), epsilon_(epsilon) {
   PQRA_REQUIRE(!inputs_.empty(), "need at least one process input");
   PQRA_REQUIRE(epsilon > 0.0, "epsilon must be positive");
-  lo_ = *std::min_element(inputs_.begin(), inputs_.end());
-  hi_ = *std::max_element(inputs_.begin(), inputs_.end());
-  center_ = util::encode((lo_ + hi_) / 2.0);
+  const double lo = *std::min_element(inputs_.begin(), inputs_.end());
+  const double hi = *std::max_element(inputs_.begin(), inputs_.end());
+  center_ = util::encode((lo + hi) / 2.0);
   initial_encoded_.reserve(inputs_.size());
   for (double v : inputs_) initial_encoded_.push_back(util::encode(v));
 }

@@ -42,15 +42,9 @@ class ApproxAgreementOperator final : public iter::AcoOperator {
                          const std::vector<iter::Value>& view) const override;
   std::string name() const override { return "approximate-agreement"; }
 
-  double epsilon() const { return epsilon_; }
-  double input_min() const { return lo_; }
-  double input_max() const { return hi_; }
-
  private:
   std::vector<double> inputs_;
   double epsilon_;
-  double lo_;
-  double hi_;
   iter::Value center_;
   std::vector<iter::Value> initial_encoded_;
 };

@@ -60,7 +60,6 @@ class JacobiOperator final : public iter::AcoOperator {
   std::string name() const override { return "jacobi"; }
 
   const std::vector<double>& solution() const { return solution_; }
-  double tolerance() const { return tolerance_; }
 
  private:
   LinearSystem system_;

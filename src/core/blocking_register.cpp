@@ -27,13 +27,11 @@ std::chrono::steady_clock::duration seconds_duration(double s) {
 
 BlockingRegisterClient::BlockingRegisterClient(
     net::ThreadTransport& transport, NodeId self,
-    const quorum::QuorumSystem& quorums, NodeId server_base,
-    const util::Rng& rng, bool monotone, obs::Registry* metrics,
-    RetryPolicy retry)
+    const quorum::QuorumSystem& quorums, const util::Rng& rng,
+    bool monotone, obs::Registry* metrics, RetryPolicy retry)
     : transport_(transport),
       self_(self),
       quorums_(quorums),
-      server_base_(server_base),
       rng_(rng.fork(0x626c6f636b000000ULL ^ self)),
       retry_rng_(rng.fork(0x7265747279000000ULL ^ self)),
       monotone_(monotone),
@@ -106,11 +104,10 @@ OpStatus BlockingRegisterClient::run_op(RegisterId reg, bool is_read, OpId op,
     // attempts under the same op id.
     std::vector<quorum::ServerId> quorum = quorums_.sample(kind, rng_);
     for (quorum::ServerId s : quorum) {
-      NodeId server = server_base_ + s;
       if (is_read) {
-        transport_.send(self_, server, net::Message::read_req(reg, op));
+        transport_.send(self_, s, net::Message::read_req(reg, op));
       } else {
-        transport_.send(self_, server,
+        transport_.send(self_, s,
                         net::Message::write_req(reg, op, write_ts,
                                                 write_value));
       }

@@ -47,6 +47,8 @@ struct BlockingReadResult {
 
 class BlockingRegisterClient {
  public:
+  /// Servers occupy NodeIds [0, n) in the order of the quorum system's
+  /// ServerIds.
   /// \p metrics: optional thread-safe registry (non-owning); operation
   /// counts and wall-clock latency histograms (seconds) report under the
   /// same obs/names.hpp client names as the DES client.
@@ -55,8 +57,7 @@ class BlockingRegisterClient {
   /// pre-policy behaviour.
   BlockingRegisterClient(net::ThreadTransport& transport, NodeId self,
                          const quorum::QuorumSystem& quorums,
-                         NodeId server_base, const util::Rng& rng,
-                         bool monotone = false,
+                         const util::Rng& rng, bool monotone = false,
                          obs::Registry* metrics = nullptr,
                          RetryPolicy retry = {});
 
@@ -104,7 +105,6 @@ class BlockingRegisterClient {
   net::ThreadTransport& transport_;
   NodeId self_;
   const quorum::QuorumSystem& quorums_;
-  NodeId server_base_;
   util::Rng rng_;
   util::Rng retry_rng_;  ///< jitter stream, separate from quorum sampling
   bool monotone_;

@@ -22,7 +22,7 @@ ShardedStoreClient::ShardedStoreClient(sim::Simulator& simulator,
                                        const util::Rng& rng,
                                        ShardedStoreOptions options,
                                        spec::HistoryRecorder* history)
-    : client_(simulator, transport, self, quorums, /*server_base=*/0, rng,
+    : client_(simulator, transport, self, quorums, rng,
               with_ring(options.client, ring), history) {
   if (options.client.metrics != nullptr) {
     obs::Registry& reg = *options.client.metrics;

@@ -28,14 +28,12 @@ Tag unpack_tag(Timestamp ts) {
 
 QuorumRegisterClient::QuorumRegisterClient(
     sim::Simulator& simulator, net::Transport& transport, NodeId self,
-    const quorum::QuorumSystem& quorums, NodeId server_base,
-    const util::Rng& rng, ClientOptions options,
-    spec::HistoryRecorder* history)
+    const quorum::QuorumSystem& quorums, const util::Rng& rng,
+    ClientOptions options, spec::HistoryRecorder* history)
     : simulator_(simulator),
       transport_(transport),
       self_(self),
       quorums_(quorums),
-      server_base_(server_base),
       rng_(rng.fork(0x636c69656e740000ULL ^ self)),
       retry_rng_(rng.fork(0x7265747279000000ULL ^ self)),
       options_(options),
@@ -278,8 +276,7 @@ void QuorumRegisterClient::send_to_quorum(OpId op, PendingOp& pending) {
   }
   fanout_scratch_.clear();
   for (quorum::ServerId s : quorum_scratch_) {
-    NodeId server = options_.ring != nullptr ? group_scratch_[s]
-                                             : server_base_ + s;
+    NodeId server = options_.ring != nullptr ? group_scratch_[s] : s;
     net::FanoutEntry entry{server, 0};
     if (pending.root_span != 0) {
       obs::SpanId rpc = options_.spans->begin(
@@ -681,11 +678,6 @@ void QuorumRegisterClient::complete_write(OpId op, PendingOp& pending) {
   WriteCallback cb = std::move(pending.write_cb);
   erase_pending(op);
   cb(result);
-}
-
-Timestamp QuorumRegisterClient::last_written_ts(RegisterId reg) const {
-  const KeyState* key = keys_.find(reg);
-  return key == nullptr ? 0 : key->write_ts;
 }
 
 }  // namespace pqra::core

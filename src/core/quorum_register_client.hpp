@@ -141,7 +141,7 @@ struct ClientOptions {
   /// when set, the quorum system must be sized to one replica group
   /// (quorums.num_servers() == group size), and every access resolves its
   /// key's group through the ring — a drawn ServerId s becomes the group's
-  /// s-th member instead of server_base + s.  All ε-intersection and
+  /// s-th member instead of node s.  All ε-intersection and
   /// staleness math is unchanged: it already runs over n = group size.
   /// Snapshot reads (whole-store, single group) are not supported per key.
   const keyspace::HashRing* ring = nullptr;
@@ -180,13 +180,12 @@ class QuorumRegisterClient final : public net::Receiver {
   // pqra-lint: allow(hotpath-function) — per-op completion callback
   using WriteCallback = std::function<void(WriteResult)>;
 
-  /// \p server_base: servers occupy NodeIds [server_base, server_base + n)
-  /// in the order of the quorum system's ServerIds.
+  /// Servers occupy NodeIds [0, n) in the order of the quorum system's
+  /// ServerIds.
   /// \p history: optional recorder for spec checking (may be nullptr).
   QuorumRegisterClient(sim::Simulator& simulator, net::Transport& transport,
                        NodeId self, const quorum::QuorumSystem& quorums,
-                       NodeId server_base, const util::Rng& rng,
-                       ClientOptions options = {},
+                       const util::Rng& rng, ClientOptions options = {},
                        spec::HistoryRecorder* history = nullptr);
 
   /// Starts a read of \p reg; \p cb fires when the quorum has answered.
@@ -227,9 +226,6 @@ class QuorumRegisterClient final : public net::Receiver {
   const util::OnlineStats& write_latency() const { return write_latency_; }
 
   NodeId id() const { return self_; }
-
-  /// Last timestamp this client wrote to \p reg (0 if none).
-  Timestamp last_written_ts(RegisterId reg) const;
 
   /// Distinct registers this client has issued an operation on.
   std::size_t keys_touched() const { return keys_.size(); }
@@ -389,7 +385,6 @@ class QuorumRegisterClient final : public net::Receiver {
   net::Transport& transport_;
   NodeId self_;
   const quorum::QuorumSystem& quorums_;
-  NodeId server_base_;
   util::Rng rng_;
   /// Dedicated stream for retry jitter: backoff draws never perturb the
   /// quorum-sampling stream, so fault-free replays stay byte-identical.

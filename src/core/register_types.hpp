@@ -36,20 +36,6 @@ enum class OpStatus {
   kShutdown,  ///< the runtime shut down before the operation finished
 };
 
-constexpr const char* op_status_name(OpStatus s) {
-  switch (s) {
-    case OpStatus::kOk:
-      return "ok";
-    case OpStatus::kDegraded:
-      return "degraded";
-    case OpStatus::kTimedOut:
-      return "timed_out";
-    case OpStatus::kShutdown:
-      return "shutdown";
-  }
-  return "?";
-}
-
 /// Client recovery policy: per-attempt timeout, exponential backoff with
 /// deterministic jitter, an absolute per-operation deadline, and optional
 /// graceful degradation.  Times are in the runtime's unit (sim-time for the

@@ -41,8 +41,7 @@ ServerProcess::ServerProcess(net::Transport& transport, NodeId self,
   if (gossip_.interval > 0.0) {
     PQRA_REQUIRE(gossip_.group_size >= 2,
                  "gossip needs at least two servers in the group");
-    PQRA_REQUIRE(self_ >= gossip_.group_base &&
-                     self_ < gossip_.group_base + gossip_.group_size,
+    PQRA_REQUIRE(self_ < gossip_.group_size,
                  "gossiping server must belong to its own group");
     // Jittered first tick so the group does not fire in phase.
     schedule_gossip(rng_.uniform01() * gossip_.interval);
@@ -109,8 +108,7 @@ void ServerProcess::schedule_gossip(sim::Time delay) {
 
 void ServerProcess::gossip_tick() {
   // Pick a uniformly random peer other than this server.
-  auto offset = static_cast<net::NodeId>(rng_.below(gossip_.group_size - 1));
-  net::NodeId peer = gossip_.group_base + offset;
+  auto peer = static_cast<net::NodeId>(rng_.below(gossip_.group_size - 1));
   if (peer >= self_) ++peer;
   // Routed through the batch path (a width-1 fan-out) so gossip shares the
   // transport's block-scheduled delivery machinery.

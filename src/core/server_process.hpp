@@ -39,8 +39,7 @@ struct GossipOptions {
   /// 0 disables gossip.  Otherwise one push per interval (plus jitter drawn
   /// in [0, interval) for the first tick so servers do not fire in phase).
   sim::Time interval = 0.0;
-  /// The replica group occupies NodeIds [group_base, group_base+group_size).
-  net::NodeId group_base = 0;
+  /// The replica group occupies NodeIds [0, group_size).
   std::size_t group_size = 0;
 };
 

@@ -118,11 +118,10 @@ void StoreCluster::publish_storage() const {
 
 net::FaultPlan churn_plan(std::size_t servers, double downtime,
                           sim::Time horizon, std::uint64_t seed) {
-  constexpr double kCycle = 400.0;
   util::Rng rng(seed * 1000003 + 17);
   return net::FaultPlan::random_churn(servers, horizon,
-                                      kCycle * (1.0 - downtime),
-                                      kCycle * downtime, rng);
+                                      kChurnCycle * (1.0 - downtime),
+                                      kChurnCycle * downtime, rng);
 }
 
 core::RetryPolicy store_retry() {
@@ -183,7 +182,7 @@ StoreRun::StoreRun(std::uint64_t seed, const RunOptions& options)
     clients_.emplace_back(
         simulator_, transport_,
         static_cast<net::NodeId>(options.cluster.servers + i), quorums_,
-        /*server_base=*/0, master_.fork(500 + i), copts, &history_);
+        master_.fork(500 + i), copts, &history_);
     loops_.push_back(Loop{master_.fork(900 + i), options.ops});
   }
 }

@@ -107,8 +107,12 @@ class StoreCluster final : public net::NodeLifecycleListener {
   std::deque<storage::DurableStore> stores_;
 };
 
+/// Mean length of one churn_plan up-and-down cycle, so a plan holds about
+/// servers * horizon / kChurnCycle outages.
+inline constexpr sim::Time kChurnCycle = 400.0;
+
 /// Server churn as a downtime fraction: each server alternates exponential
-/// up and down periods that split a 400-time-unit cycle d : (1 - d), until
+/// up and down periods that split a kChurnCycle cycle d : (1 - d), until
 /// \p horizon.  Down periods are long next to an operation deadline, which
 /// starves strict majorities while probabilistic quorums keep finding k
 /// live servers.  Draws from a stream of its own, derived from \p seed.

@@ -27,8 +27,8 @@ class Alg1Process {
               core::spec::HistoryRecorder* history)
       : index_(index),
         op_(op),
-        client_(simulator, transport, node, quorums, /*server_base=*/0, rng,
-                client_options, history),
+        client_(simulator, transport, node, quorums, rng, client_options,
+                history),
         snapshot_reads_(snapshot_reads),
         local_(op.num_components()),
         read_ts_(op.num_components(), 0) {
@@ -169,7 +169,6 @@ Alg1Result run_alg1(const AcoOperator& op, const Alg1Options& options) {
   core::GossipOptions gossip;
   if (options.gossip_interval.has_value()) {
     gossip.interval = *options.gossip_interval;
-    gossip.group_base = 0;
     gossip.group_size = n;
   }
   std::vector<std::unique_ptr<core::ServerProcess>> servers;
@@ -193,7 +192,6 @@ Alg1Result run_alg1(const AcoOperator& op, const Alg1Options& options) {
                                         op.initial(j));
     }
   }
-  for (net::NodeId s : options.crashed_servers) transport.faults().crash(s);
   if (options.fault_plan != nullptr) {
     options.fault_plan->install(simulator, transport);
   }

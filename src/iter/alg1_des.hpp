@@ -69,11 +69,9 @@ struct Alg1Options {
   /// so it is off for the big Figure 2 sweeps.
   bool record_history = false;
 
-  /// Crash these servers before the run starts (availability experiments).
-  std::vector<net::NodeId> crashed_servers;
-
-  /// Timed crash/recovery schedule installed before the run (churn
-  /// experiments); non-owning, may be nullptr.
+  /// Timed crash/recovery schedule installed before the run (churn and
+  /// availability experiments; `crash:N@0` crashes N from the start);
+  /// non-owning, may be nullptr.
   const net::FaultPlan* fault_plan = nullptr;
 
   /// Recovery policy (backoff, jitter, deadline, graceful degradation —

@@ -57,8 +57,8 @@ Alg1ThreadsResult run_alg1_threads(const AcoOperator& op,
   auto worker = [&](std::size_t i) {
     core::BlockingRegisterClient client(
         transport, static_cast<net::NodeId>(n + i), quorums,
-        /*server_base=*/0, master.fork(100 + i), options.monotone,
-        options.metrics, options.retry);
+        master.fork(100 + i), options.monotone, options.metrics,
+        options.retry);
     std::vector<std::size_t> owned;
     for (std::size_t j = i; j < m; j += p) owned.push_back(j);
 

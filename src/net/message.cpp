@@ -1,6 +1,5 @@
 #include "net/message.hpp"
 
-#include <sstream>
 #include <utility>
 
 namespace pqra::net {
@@ -63,14 +62,6 @@ Message Message::gossip(Value encoded_store) {
   m.type = MsgType::kGossip;
   m.value = std::move(encoded_store);
   return m;
-}
-
-std::string Message::describe() const {
-  std::ostringstream os;
-  os << msg_type_name(type) << "{reg=" << reg << " op=" << op << " ts=" << ts;
-  if (trace != 0) os << " trace=" << trace << " span=" << span;
-  os << " |v|=" << value.size() << "}";
-  return os.str();
 }
 
 }  // namespace pqra::net

@@ -9,7 +9,6 @@
 /// (WriteReq) and each replica acknowledges (WriteAck).
 
 #include <cstdint>
-#include <string>
 
 #include "net/value.hpp"
 #include "util/codec.hpp"
@@ -82,9 +81,6 @@ struct Message {
   static Message write_req(RegisterId reg, OpId op, Timestamp ts, Value value);
   static Message write_ack(RegisterId reg, OpId op, Timestamp ts);
   static Message gossip(Value encoded_store);
-
-  /// Debug rendering, e.g. "ReadAck{reg=3 op=17 ts=5 |v|=272}".
-  std::string describe() const;
 };
 
 }  // namespace pqra::net

@@ -84,9 +84,7 @@ SimTransport::SimTransport(sim::Simulator& simulator,
       delay_model_(delay_model),
       rng_(rng.fork(0x7261705f74726e73ULL)),
       receivers_(max_nodes, nullptr),
-      faults_(max_nodes) {
-  stats_.received_by_node.assign(max_nodes, 0);
-}
+      faults_(max_nodes) {}
 
 void SimTransport::register_receiver(NodeId node, Receiver* receiver) {
   PQRA_REQUIRE(node < receivers_.size(), "node id out of range");
@@ -123,7 +121,6 @@ void SimTransport::deliver_after(sim::Time delay, NodeId from, NodeId to,
       }
       return;
     }
-    ++stats_.received_by_node[to];
     if (flight_recorder_ != nullptr) {
       record_flight(obs::FlightEventKind::kDeliver, from, to, m);
     }
@@ -259,8 +256,8 @@ void SimTransport::fire_fanout(FanoutBlock* block) {
     const bool last = block->next == block->count;
     block->proto.span = e.span;
     // Same fire-time semantics as the unbatched delivery closure: re-check
-    // the destination (it may have crashed in flight), then count, record
-    // and deliver.
+    // the destination (it may have crashed in flight), then record and
+    // deliver.
     if (faults_.is_crashed(e.to)) {
       ++stats_.dropped;
       if (metrics_.has_value()) metrics_->on_drop();
@@ -269,7 +266,6 @@ void SimTransport::fire_fanout(FanoutBlock* block) {
                       block->proto);
       }
     } else {
-      ++stats_.received_by_node[e.to];
       if (flight_recorder_ != nullptr) {
         record_flight(obs::FlightEventKind::kDeliver, block->from, e.to,
                       block->proto);

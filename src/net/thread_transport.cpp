@@ -18,12 +18,11 @@ Clock::time_point delay_to_ready(double seconds) {
 }  // namespace
 
 ThreadTransport::ThreadTransport(NodeId max_nodes, std::uint64_t fault_seed)
-    : start_(Clock::now()), faults_(max_nodes), fault_rng_(fault_seed) {
+    : faults_(max_nodes), fault_rng_(fault_seed) {
   mailboxes_.reserve(max_nodes);
   for (NodeId i = 0; i < max_nodes; ++i) {
     mailboxes_.push_back(std::make_unique<Mailbox>());
   }
-  stats_.received_by_node.assign(max_nodes, 0);
 }
 
 void ThreadTransport::enqueue(NodeId to, Timed entry) {
@@ -60,18 +59,11 @@ void ThreadTransport::send(NodeId from, NodeId to, Message msg) {
     if (fault.drop) {
       ++stats_.dropped;
       if (metrics_.has_value()) metrics_->on_drop();
-      if (flight_recorder_ != nullptr) {
-        record_flight(obs::FlightEventKind::kDrop, from, to, msg);
-      }
       return;
     }
     ++stats_.total;
     ++stats_.by_type[static_cast<std::size_t>(msg.type)];
-    ++stats_.received_by_node[to];
     if (metrics_.has_value()) metrics_->on_send(msg);
-    if (flight_recorder_ != nullptr) {
-      record_flight(obs::FlightEventKind::kSend, from, to, msg);
-    }
   }
   Clock::time_point ready = fault.extra_delay > 0.0
                                 ? delay_to_ready(fault.extra_delay)
@@ -152,29 +144,6 @@ void ThreadTransport::bind_metrics(obs::Registry& registry) {
   std::lock_guard lock(stats_mutex_);
   metrics_.emplace(registry);
   faults_.bind_metrics(registry);
-}
-
-void ThreadTransport::bind_flight_recorder(obs::FlightRecorder* recorder) {
-  std::lock_guard lock(stats_mutex_);
-  flight_recorder_ = recorder;
-}
-
-void ThreadTransport::record_flight(obs::FlightEventKind kind, NodeId from,
-                                    NodeId to, const Message& msg) {
-  // Caller holds stats_mutex_.
-  obs::FlightRecord rec;
-  rec.time =
-      std::chrono::duration<double>(Clock::now() - start_).count();
-  rec.event = kind;
-  rec.msg_type = static_cast<std::uint8_t>(msg.type);
-  rec.from = from;
-  rec.to = to;
-  rec.reg = msg.reg;
-  rec.op = msg.op;
-  rec.ts = msg.ts;
-  rec.trace = msg.trace;
-  rec.span = msg.span;
-  flight_recorder_->record(rec);
 }
 
 }  // namespace pqra::net

@@ -26,7 +26,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 
 #include "net/faults.hpp"
@@ -90,13 +89,6 @@ class ThreadTransport {
   /// Bind before the first send.
   void bind_metrics(obs::Registry& registry);
 
-  /// Records sends and drops into \p recorder (not owned; null to unbind),
-  /// serialized by the stats mutex; times are wall seconds since transport
-  /// construction.  Unlike SimTransport there is no deliver record — pulls
-  /// happen on receiver threads and the recorder is deliberately lock-free.
-  /// Bind before the first send.
-  void bind_flight_recorder(obs::FlightRecorder* recorder);
-
  private:
   /// Mailbox entry: deliverable once `ready` has passed (injected delay).
   struct Timed {
@@ -114,14 +106,9 @@ class ThreadTransport {
 
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
 
-  void record_flight(obs::FlightEventKind kind, NodeId from, NodeId to,
-                     const Message& msg);
-
   mutable std::mutex stats_mutex_;
   MessageStats stats_;
   std::optional<TransportMetrics> metrics_;
-  obs::FlightRecorder* flight_recorder_ = nullptr;
-  std::chrono::steady_clock::time_point start_;
   FaultInjector faults_;
   util::Rng fault_rng_;
   bool closed_ = false;

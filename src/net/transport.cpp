@@ -1,7 +1,6 @@
 #include "net/transport.hpp"
 
 #include "obs/names.hpp"
-#include "util/check.hpp"
 
 namespace pqra::net {
 
@@ -27,23 +26,6 @@ void Transport::send_fanout(NodeId from, const FanoutEntry* targets,
     msg.span = targets[i].span;
     send(from, targets[i].to, std::move(msg));
   }
-}
-
-MessageStats MessageStats::minus(const MessageStats& earlier) const {
-  PQRA_REQUIRE(total >= earlier.total, "stats snapshots out of order");
-  MessageStats d;
-  d.total = total - earlier.total;
-  d.dropped = dropped - earlier.dropped;
-  for (std::size_t i = 0; i < by_type.size(); ++i) {
-    d.by_type[i] = by_type[i] - earlier.by_type[i];
-  }
-  d.received_by_node.resize(received_by_node.size());
-  for (std::size_t i = 0; i < received_by_node.size(); ++i) {
-    std::uint64_t before =
-        i < earlier.received_by_node.size() ? earlier.received_by_node[i] : 0;
-    d.received_by_node[i] = received_by_node[i] - before;
-  }
-  return d;
 }
 
 }  // namespace pqra::net

@@ -8,15 +8,14 @@
 /// message-complexity experiments (§6.4), so they are part of the interface,
 /// not an implementation detail.
 ///
-/// Counting happens in two forms: the legacy MessageStats snapshot (kept as
-/// the per-run/per-link view the benches difference across phases) and,
-/// when a transport is bound to an obs::Registry via bind_metrics(), the
-/// unified metrics pipeline (messages/drops/bytes by type) that the rest of
-/// the system exports through.
+/// Counting happens in two forms: the MessageStats snapshot (a run's message
+/// totals, which run_alg1 and run_alg1_threads return as
+/// Alg1Result::messages) and, when a transport is bound to an obs::Registry
+/// via bind_metrics(), the unified metrics pipeline (messages/drops/bytes by
+/// type) that the rest of the system exports through.
 
 #include <array>
 #include <cstdint>
-#include <vector>
 
 #include "net/message.hpp"
 #include "obs/metrics.hpp"
@@ -35,11 +34,6 @@ struct MessageStats {
   std::uint64_t total = 0;
   std::uint64_t dropped = 0;  ///< messages lost to crashed nodes / drop prob.
   std::array<std::uint64_t, kNumMsgTypes> by_type{};
-  std::vector<std::uint64_t> received_by_node;  ///< index = NodeId
-
-  /// Component-wise difference (this - earlier); used to attribute message
-  /// counts to a phase of an execution.
-  MessageStats minus(const MessageStats& earlier) const;
 };
 
 /// Registry-backed transport instruments, shared by SimTransport and

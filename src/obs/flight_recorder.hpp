@@ -9,9 +9,8 @@
 /// scoped under (docs/STATIC_ANALYSIS.md):
 ///   - zero heap allocation after construction: the ring is sized once in
 ///     the constructor and records are plain values overwritten in place;
-///   - no locks and no clocks: callers pass simulated (or already-sampled)
-///     time in, and the threaded transport records under its existing
-///     stats mutex;
+///   - no locks and no clocks: the caller (SimTransport) passes simulated
+///     time in and serializes the calls;
 ///   - no net/ dependency: message fields arrive as raw integers, the
 ///     rendered dump names message types through a local table that must
 ///     stay in sync with net::MsgType (net_test asserts it does).

@@ -20,12 +20,6 @@ class ConstantDelay final : public DelayModel {
 
   Time sample(util::Rng&) override { return delay_; }
 
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "constant(" << delay_ << ")";
-    return os.str();
-  }
-
  private:
   Time delay_;
 };
@@ -37,12 +31,6 @@ class ExponentialDelay final : public DelayModel {
   }
 
   Time sample(util::Rng& rng) override { return rng.exponential(mean_); }
-
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "exponential(mean=" << mean_ << ")";
-    return os.str();
-  }
 
  private:
   Time mean_;
@@ -56,12 +44,6 @@ class UniformDelay final : public DelayModel {
 
   Time sample(util::Rng& rng) override {
     return lo_ + (hi_ - lo_) * rng.uniform01();
-  }
-
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "uniform(" << lo_ << ", " << hi_ << ")";
-    return os.str();
   }
 
  private:
@@ -87,13 +69,6 @@ class LognormalDelay final : public DelayModel {
     double z =
         std::sqrt(-2.0 * std::log(u1)) * std::cos(6.283185307179586 * u2);
     return min_ + std::exp(mu_ + sigma_ * z);
-  }
-
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "lognormal(min=" << min_ << ", mu=" << mu_ << ", sigma=" << sigma_
-       << ")";
-    return os.str();
   }
 
  private:

@@ -25,9 +25,6 @@ class DelayModel {
 
   /// Returns a non-negative delay.
   virtual Time sample(util::Rng& rng) = 0;
-
-  /// Human-readable description for logs and experiment records.
-  virtual std::string describe() const = 0;
 };
 
 /// Every message takes exactly \p delay — the synchronous model.

@@ -9,7 +9,7 @@ namespace pqra::sim {
 std::size_t default_jobs() {
   std::size_t hw = std::thread::hardware_concurrency();
   if (hw == 0) hw = 1;
-  return std::min<std::size_t>(hw, 64);
+  return std::min(hw, kMaxJobs);
 }
 
 ParallelRunner::ParallelRunner(std::size_t jobs)

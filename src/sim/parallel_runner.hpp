@@ -39,8 +39,13 @@
 
 namespace pqra::sim {
 
+/// The most worker threads a runner starts.  ParallelRunner starts all of
+/// them on its first batch, whatever the batch size, so the command-line
+/// drivers reject a larger `jobs` before any run.
+inline constexpr std::size_t kMaxJobs = 64;
+
 /// Picks a worker count for `--jobs 0` / unset: hardware concurrency,
-/// clamped to [1, 64] (hardware_concurrency() may return 0).
+/// clamped to [1, kMaxJobs] (hardware_concurrency() may return 0).
 std::size_t default_jobs();
 
 class ParallelRunner {

@@ -1,13 +1,12 @@
 #pragma once
 
 /// \file stats.hpp
-/// Streaming and batch statistics used by the experiment harnesses.
+/// Streaming statistics for the experiment harnesses, and the log2 bucket
+/// layout that obs::Histogram and sim::Profiler share.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 namespace pqra::util {
 
@@ -38,23 +37,6 @@ class OnlineStats {
   double max_ = 0.0;
 };
 
-/// Batch summary of a sample vector.
-struct Summary {
-  std::size_t count = 0;
-  double mean = 0.0;
-  double stddev = 0.0;
-  double min = 0.0;
-  double median = 0.0;
-  double max = 0.0;
-};
-
-/// Computes the batch Summary of \p samples (empty input => zeroed summary).
-Summary summarize(const std::vector<double>& samples);
-
-/// p-th percentile (0 <= p <= 100) with linear interpolation; \p samples need
-/// not be sorted (a copy is sorted internally).
-double percentile(std::vector<double> samples, double p);
-
 /// The base-2 bucket layout shared by obs::Histogram and sim::Profiler, so
 /// their buckets line up one to one.  Bucket i holds samples x with
 /// 2^(i - kLog2BucketBias - 1) <= x < 2^(i - kLog2BucketBias) (frexp
@@ -80,29 +62,5 @@ inline std::size_t log2_bucket(double x) {
 /// Inclusive upper bound of log2 bucket \p i (Prometheus `le`); +inf for
 /// the last bucket.
 double log2_bucket_upper_bound(std::size_t i);
-
-/// Fixed-width histogram over [lo, hi); samples outside (including ±inf)
-/// are clamped into the boundary bins.  NaN samples are not binned — they
-/// are tallied separately (nan_count) and excluded from total().  Used by
-/// the statistical register-spec validators.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const;
-  std::size_t total() const { return total_; }
-  std::size_t nan_count() const { return nan_count_; }
-  std::size_t num_bins() const { return counts_.size(); }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-  std::size_t nan_count_ = 0;
-};
 
 }  // namespace pqra::util

@@ -85,6 +85,15 @@ expect_usage_error(avail_no_servers "for servers:" app=avail servers=0)
 expect_usage_error(avail_k_zero "for k:" app=avail k=0)
 expect_usage_error(avail_k_above_servers "for k:" app=avail k=30)
 expect_usage_error(avail_horizon_nan "for horizon:" app=avail horizon=nan)
+# A horizon so long that churn would plan more than 10^6 outages (unchecked,
+# churn_plan would grow the plan until allocation fails).
+expect_usage_error(avail_horizon_huge "for horizon:"
+                   app=avail runs=1 horizon=1e300 servers=3 k=1)
+expect_usage_error(store_churn_horizon_huge "for horizon:"
+                   ${small_store} runs=1 churn=0.5 horizon=1e300)
+# More worker threads than sim::kMaxJobs.
+expect_usage_error(apsp_jobs_above_ceiling "for jobs:"
+                   app=apsp size=6 runs=1 jobs=65)
 
 # The six per-file export keys report=DIR replaced, on every app that read
 # them.

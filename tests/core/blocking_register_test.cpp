@@ -44,7 +44,7 @@ struct ThreadedCluster {
 TEST(BlockingRegisterTest, WriteThenReadFullQuorum) {
   quorum::ProbabilisticQuorums qs(4, 4);
   ThreadedCluster cluster(4, 1);
-  BlockingRegisterClient client(cluster.transport, 4, qs, 0, util::Rng(1));
+  BlockingRegisterClient client(cluster.transport, 4, qs, util::Rng(1));
   auto ts = client.write(0, util::encode<std::int64_t>(77));
   ASSERT_TRUE(ts.has_value());
   EXPECT_EQ(*ts, 1u);
@@ -57,8 +57,8 @@ TEST(BlockingRegisterTest, WriteThenReadFullQuorum) {
 TEST(BlockingRegisterTest, MajorityQuorumsSeeEveryWrite) {
   quorum::MajorityQuorums qs(5);
   ThreadedCluster cluster(5, 2);
-  BlockingRegisterClient writer(cluster.transport, 5, qs, 0, util::Rng(1));
-  BlockingRegisterClient reader(cluster.transport, 6, qs, 0, util::Rng(2));
+  BlockingRegisterClient writer(cluster.transport, 5, qs, util::Rng(1));
+  BlockingRegisterClient reader(cluster.transport, 6, qs, util::Rng(2));
   for (std::int64_t i = 1; i <= 20; ++i) {
     ASSERT_TRUE(writer.write(0, util::encode(i)).has_value());
     auto r = reader.read(0);
@@ -73,13 +73,13 @@ TEST(BlockingRegisterTest, MonotoneReadsNeverRegress) {
   ThreadedCluster cluster(12, 2, /*preload_registers=*/1);
   std::atomic<bool> done{false};
   std::thread writer_thread([&] {
-    BlockingRegisterClient writer(cluster.transport, 12, qs, 0, util::Rng(1));
+    BlockingRegisterClient writer(cluster.transport, 12, qs, util::Rng(1));
     for (std::int64_t i = 1; i <= 200; ++i) {
       if (!writer.write(0, util::encode(i)).has_value()) return;
     }
     done = true;
   });
-  BlockingRegisterClient reader(cluster.transport, 13, qs, 0, util::Rng(2),
+  BlockingRegisterClient reader(cluster.transport, 13, qs, util::Rng(2),
                                 /*monotone=*/true);
   Timestamp last = 0;
   while (!done.load()) {
@@ -104,7 +104,7 @@ TEST(BlockingRegisterTest, ConcurrentReadersAndOneWriter) {
       // read 1 catches a write still in flight (the new/old inversion that
       // atomic write-back or the §6.2 cache removes).
       BlockingRegisterClient reader(cluster.transport,
-                                    static_cast<net::NodeId>(8 + i), qs, 0,
+                                    static_cast<net::NodeId>(8 + i), qs,
                                     util::Rng(10 + i), /*monotone=*/true);
       Timestamp last = 0;
       while (!stop.load()) {
@@ -115,7 +115,7 @@ TEST(BlockingRegisterTest, ConcurrentReadersAndOneWriter) {
       }
     });
   }
-  BlockingRegisterClient writer(cluster.transport, 7, qs, 0, util::Rng(1));
+  BlockingRegisterClient writer(cluster.transport, 7, qs, util::Rng(1));
   for (std::int64_t i = 1; i <= 100; ++i) {
     ASSERT_TRUE(writer.write(0, util::encode(i)).has_value());
   }
@@ -129,7 +129,7 @@ TEST(BlockingRegisterTest, ShutdownUnblocksClient) {
   auto cluster = std::make_unique<ThreadedCluster>(4, 1);
   std::atomic<bool> got_nullopt{false};
   std::thread t([&] {
-    BlockingRegisterClient client(cluster->transport, 4, qs, 0, util::Rng(1));
+    BlockingRegisterClient client(cluster->transport, 4, qs, util::Rng(1));
     // Consume the 4 acks of a normal write, then block on a second op that
     // will never finish because the transport closes.
     (void)client.write(0, util::encode<std::int64_t>(1));
@@ -153,7 +153,7 @@ TEST(BlockingRegisterTest, TimesOutInsteadOfBlockingOnACrashedQuorum) {
   RetryPolicy retry;
   retry.rpc_timeout = 0.01;
   retry.deadline = 0.05;
-  BlockingRegisterClient client(cluster.transport, 4, qs, 0, util::Rng(1),
+  BlockingRegisterClient client(cluster.transport, 4, qs, util::Rng(1),
                                 /*monotone=*/false, /*metrics=*/nullptr,
                                 retry);
   EXPECT_FALSE(client.read(0).has_value());
@@ -173,7 +173,7 @@ TEST(BlockingRegisterTest, RetriesThroughATransientCrash) {
   RetryPolicy retry;
   retry.rpc_timeout = 0.02;
   retry.backoff_factor = 1.0;
-  BlockingRegisterClient client(cluster.transport, 3, qs, 0, util::Rng(1),
+  BlockingRegisterClient client(cluster.transport, 3, qs, util::Rng(1),
                                 /*monotone=*/false, /*metrics=*/nullptr,
                                 retry);
   std::thread healer([&] {
@@ -205,7 +205,7 @@ TEST(BlockingRegisterTest, DegradedReadReportsPartialAccessSet) {
   retry.deadline = 0.4;
   retry.degraded_ok = true;
   retry.min_degraded_acks = 1;
-  BlockingRegisterClient client(cluster.transport, 4, qs, 0, util::Rng(1),
+  BlockingRegisterClient client(cluster.transport, 4, qs, util::Rng(1),
                                 /*monotone=*/false, /*metrics=*/nullptr,
                                 retry);
   auto r = client.read(0);

@@ -24,7 +24,7 @@ struct ByzCluster {
       : delay(sim::make_constant_delay(1.0)),
         transport(sim, *delay, util::Rng(seed),
                   static_cast<net::NodeId>(n + 1)),
-        client(sim, transport, static_cast<net::NodeId>(n), qs, 0,
+        client(sim, transport, static_cast<net::NodeId>(n), qs,
                util::Rng(seed).fork(55), with_bound(options, fault_bound)) {
     for (std::size_t s = 0; s < n; ++s) {
       if (s < byzantine) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/quorum_register_client.hpp"
 #include "core/server_process.hpp"
@@ -24,7 +25,7 @@ struct EdgeCluster {
         transport(sim, *delay, util::Rng(seed),
                   static_cast<net::NodeId>(n + 1)),
         client(std::make_unique<QuorumRegisterClient>(
-            sim, transport, static_cast<net::NodeId>(n), qs, 0,
+            sim, transport, static_cast<net::NodeId>(n), qs,
             util::Rng(seed).fork(44), options, nullptr)) {
     for (std::size_t s = 0; s < n; ++s) {
       servers.push_back(std::make_unique<ServerProcess>(
@@ -53,19 +54,18 @@ TEST(ClientEdgeTest, ConcurrentReadsOfTheSameRegisterBothComplete) {
 TEST(ClientEdgeTest, InterleavedWritesToManyRegisters) {
   EdgeCluster c(7);
   constexpr int kRegs = 32;
-  int acked = 0;
-  for (net::RegisterId reg = 0; reg < kRegs; ++reg) {
-    c.client->write(reg, util::encode<std::int64_t>(reg), [&](Timestamp ts) {
-      EXPECT_EQ(ts, 1u);
-      ++acked;
-    });
-  }
+  std::vector<Timestamp> written(kRegs + 1, 0);
+  const auto write = [&](net::RegisterId reg) {
+    c.client->write(reg, util::encode<std::int64_t>(reg),
+                    [&written, reg](WriteResult r) { written[reg] = r.ts; });
+  };
+  for (net::RegisterId reg = 0; reg < kRegs; ++reg) write(reg);
   c.sim.run();
-  EXPECT_EQ(acked, kRegs);
-  // Every register is independently versioned.
-  EXPECT_EQ(c.client->last_written_ts(0), 1u);
-  EXPECT_EQ(c.client->last_written_ts(kRegs - 1), 1u);
-  EXPECT_EQ(c.client->last_written_ts(kRegs), 0u);
+  // Every register is independently versioned: each first write is ts 1,
+  // also on register kRegs, which the 32 writes before it left untouched.
+  write(kRegs);
+  c.sim.run();
+  EXPECT_EQ(written, std::vector<Timestamp>(kRegs + 1, 1));
 }
 
 TEST(ClientEdgeTest, SpuriousAcksForUnknownOpsAreIgnored) {
@@ -183,7 +183,7 @@ struct FaultableCluster {
         transport(sim, *delay, util::Rng(seed),
                   static_cast<net::NodeId>(n + 1)),
         client(std::make_unique<QuorumRegisterClient>(
-            sim, transport, static_cast<net::NodeId>(n), qs, 0,
+            sim, transport, static_cast<net::NodeId>(n), qs,
             util::Rng(seed).fork(44), options, nullptr)) {
     for (std::size_t s = 0; s < n; ++s) {
       servers.push_back(std::make_unique<ServerProcess>(

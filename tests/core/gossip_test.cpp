@@ -55,7 +55,6 @@ TEST(GossipTest, SpreadsAWriteToEveryReplicaWithoutReads) {
                               static_cast<net::NodeId>(n + 1));
   GossipOptions gossip;
   gossip.interval = 2.0;
-  gossip.group_base = 0;
   gossip.group_size = n;
   std::vector<std::unique_ptr<ServerProcess>> servers;
   for (std::size_t s = 0; s < n; ++s) {
@@ -63,7 +62,7 @@ TEST(GossipTest, SpreadsAWriteToEveryReplicaWithoutReads) {
         transport, static_cast<net::NodeId>(s), sim, gossip, util::Rng(7)));
   }
   quorum::ProbabilisticQuorums qs(n, 1);  // the write touches ONE replica
-  QuorumRegisterClient writer(sim, transport, n, qs, 0, util::Rng(3));
+  QuorumRegisterClient writer(sim, transport, n, qs, util::Rng(3));
   writer.write(0, val(42), [](Timestamp) {});
   // Push-gossip doubles coverage roughly every interval: by t=60 all 12
   // replicas should hold the value.

@@ -34,7 +34,7 @@ struct MwCluster {
     }
     for (std::size_t c = 0; c < num_clients; ++c) {
       clients.push_back(std::make_unique<QuorumRegisterClient>(
-          sim, transport, static_cast<net::NodeId>(n + c), qs, 0,
+          sim, transport, static_cast<net::NodeId>(n + c), qs,
           util::Rng(seed).fork(900 + c), options, history));
     }
   }

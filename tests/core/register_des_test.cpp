@@ -6,7 +6,6 @@
 #include "core/quorum_register_client.hpp"
 #include "core/server_process.hpp"
 #include "core/spec/checker.hpp"
-#include "core/typed_register.hpp"
 #include "net/sim_transport.hpp"
 #include "quorum/majority.hpp"
 #include "quorum/probabilistic.hpp"
@@ -32,8 +31,7 @@ struct Cluster {
     for (std::size_t c = 0; c < num_clients; ++c) {
       clients.push_back(std::make_unique<QuorumRegisterClient>(
           sim, transport, static_cast<net::NodeId>(n + c), quorums,
-          /*server_base=*/0, util::Rng(seed).fork(500 + c), options,
-          &history));
+          util::Rng(seed).fork(500 + c), options, &history));
     }
   }
 
@@ -73,15 +71,14 @@ TEST(RegisterDesTest, TimestampsIncreasePerRegister) {
   std::vector<Timestamp> seen;
   std::function<void(int)> write_next = [&](int remaining) {
     if (remaining == 0) return;
-    c.clients[0]->write(0, val(remaining), [&, remaining](Timestamp ts) {
-      seen.push_back(ts);
+    c.clients[0]->write(0, val(remaining), [&, remaining](WriteResult r) {
+      seen.push_back(r.ts);
       write_next(remaining - 1);
     });
   };
   write_next(5);
   c.sim.run();
   EXPECT_EQ(seen, (std::vector<Timestamp>{1, 2, 3, 4, 5}));
-  EXPECT_EQ(c.clients[0]->last_written_ts(0), 5u);
 }
 
 TEST(RegisterDesTest, ReadSeesPreloadedInitialValue) {
@@ -245,23 +242,6 @@ TEST(RegisterDesTest, WithoutRetriesCrashedQuorumStalls) {
   EXPECT_FALSE(done) << "2 live servers cannot form a 3-quorum";
   auto r1 = spec::check_r1(c.history.ops());
   EXPECT_FALSE(r1.ok);  // the incomplete execution shows up in [R1]
-}
-
-TEST(RegisterDesTest, TypedRegisterRoundTrip) {
-  quorum::ProbabilisticQuorums qs(5, 5);
-  Cluster c(5, 1, qs);
-  TypedRegister<std::vector<std::int64_t>> row(*c.clients[0], 3);
-  std::vector<std::int64_t> data{1, 2, 3};
-  bool done = false;
-  row.write(data, [&](Timestamp) {
-    row.read([&](Timestamp ts, std::vector<std::int64_t> v) {
-      EXPECT_EQ(ts, 1u);
-      EXPECT_EQ(v, data);
-      done = true;
-    });
-  });
-  c.sim.run();
-  EXPECT_TRUE(done);
 }
 
 TEST(RegisterDesTest, DeterministicGivenSeed) {

@@ -23,7 +23,7 @@ struct SnapCluster {
         transport(sim, *delay, util::Rng(seed),
                   static_cast<net::NodeId>(n + 1)),
         client(std::make_unique<QuorumRegisterClient>(
-            sim, transport, static_cast<net::NodeId>(n), qs, 0,
+            sim, transport, static_cast<net::NodeId>(n), qs,
             util::Rng(seed).fork(60), options, &history)) {
     for (std::size_t s = 0; s < n; ++s) {
       servers.push_back(std::make_unique<ServerProcess>(

@@ -59,6 +59,9 @@ expect_usage_error(overflowing_start_seed --start-seed
 expect_usage_error(infinite_minutes --minutes --minutes inf)
 expect_usage_error(nan_minutes --minutes --minutes nan)
 
+# More workers than sim::kMaxJobs.
+expect_usage_error(jobs_above_ceiling --jobs --seed-range 0:2 --jobs 65)
+
 # Trailing text.
 expect_usage_error(trailing_max_violations --max-violations
                    --seed-range 0:2 --max-violations 3x)

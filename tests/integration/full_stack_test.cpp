@@ -155,9 +155,9 @@ TEST(FullStackTest, LossyNetworkWithRetriesStillConvergesAndSatisfiesR2) {
   core::ClientOptions copts;
   copts.monotone = true;
   copts.retry = core::RetryPolicy::fixed(6.0);
-  core::QuorumRegisterClient writer(sim, transport, 10, qs, 0,
+  core::QuorumRegisterClient writer(sim, transport, 10, qs,
                                     master.fork(2), copts, &history);
-  core::QuorumRegisterClient reader(sim, transport, 11, qs, 0,
+  core::QuorumRegisterClient reader(sim, transport, 11, qs,
                                     master.fork(3), copts, &history);
 
   int completed = 0;
@@ -199,7 +199,7 @@ TEST_P(LossSweep, RegisterSurvivesMessageLossWithRetries) {
   core::ClientOptions copts;
   copts.monotone = true;
   copts.retry = core::RetryPolicy::fixed(8.0);
-  core::QuorumRegisterClient client(sim, transport, 10, qs, 0,
+  core::QuorumRegisterClient client(sim, transport, 10, qs,
                                     master.fork(2), copts, &history);
   int completed = 0;
   std::function<void(int)> loop = [&](int remaining) {

@@ -112,7 +112,7 @@ std::size_t run_workload(std::uint64_t seed, obs::SpanSink& sink) {
   for (std::size_t i = 0; i < kClients; ++i) {
     clients.emplace_back(sim, transport,
                          static_cast<net::NodeId>(kServers + i), quorums,
-                         /*server_base=*/0, master.fork(500 + i), options);
+                         master.fork(500 + i), options);
   }
 
   plan.install(sim, transport);

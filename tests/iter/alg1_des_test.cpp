@@ -208,9 +208,12 @@ TEST(Alg1DesTest, CrashToleranceWithRetries) {
   apps::Graph g = apps::make_chain(6);
   apps::ApspOperator op(g);
   quorum::ProbabilisticQuorums qs(10, 3);
+  // 5 alive >= k = 3.
+  const net::FaultPlan crashed = net::FaultPlan::parse(
+      "crash:0@0;crash:1@0;crash:2@0;crash:3@0;crash:4@0");
   Alg1Options options;
   options.quorums = &qs;
-  options.crashed_servers = {0, 1, 2, 3, 4};  // 5 alive >= k = 3
+  options.fault_plan = &crashed;
   options.retry = core::RetryPolicy::fixed(8.0);
   Alg1Result r = run_alg1(op, options);
   EXPECT_TRUE(r.converged);
@@ -221,9 +224,12 @@ TEST(Alg1DesTest, MajorityStallsWhenMajorityCrashed) {
   apps::Graph g = apps::make_chain(6);
   apps::ApspOperator op(g);
   quorum::MajorityQuorums qs(10);
+  // 5 alive < 6 needed.
+  const net::FaultPlan crashed = net::FaultPlan::parse(
+      "crash:0@0;crash:1@0;crash:2@0;crash:3@0;crash:4@0");
   Alg1Options options;
   options.quorums = &qs;
-  options.crashed_servers = {0, 1, 2, 3, 4};  // 5 alive < 6 needed
+  options.fault_plan = &crashed;
   options.retry = core::RetryPolicy::fixed(8.0);
   options.max_sim_time = 500.0;
   Alg1Result r = run_alg1(op, options);
@@ -236,8 +242,10 @@ TEST(Alg1DesTest, ProbabilisticSurvivesWhereMajorityStalls) {
   // regime, opposite outcomes.
   apps::Graph g = apps::make_chain(6);
   apps::ApspOperator op(g);
+  const net::FaultPlan crashed = net::FaultPlan::parse(
+      "crash:0@0;crash:1@0;crash:2@0;crash:3@0;crash:4@0;crash:5@0");
   Alg1Options options;
-  options.crashed_servers = {0, 1, 2, 3, 4, 5};
+  options.fault_plan = &crashed;
   options.retry = core::RetryPolicy::fixed(8.0);
   options.max_sim_time = 3000.0;
 

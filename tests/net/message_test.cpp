@@ -54,8 +54,8 @@ TEST(MessageTest, FactoriesLeaveCausalHeadersUntraced) {
       net::Message::gossip(net::Value()),
   };
   for (const net::Message& m : msgs) {
-    EXPECT_EQ(m.trace, 0u) << m.describe();
-    EXPECT_EQ(m.span, 0u) << m.describe();
+    EXPECT_EQ(m.trace, 0u) << net::msg_type_name(m.type);
+    EXPECT_EQ(m.span, 0u) << net::msg_type_name(m.type);
   }
   // And they survive a copy byte-for-byte once set.
   net::Message m = net::Message::read_req(1, 2);

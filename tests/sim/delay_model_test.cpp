@@ -52,18 +52,6 @@ TEST(DelayModelTest, LognormalRespectsMinimum) {
   }
 }
 
-TEST(DelayModelTest, DescribeNamesTheDistribution) {
-  util::Rng rng(1);
-  EXPECT_NE(make_constant_delay(1.0)->describe().find("constant"),
-            std::string::npos);
-  EXPECT_NE(make_exponential_delay(1.0)->describe().find("exponential"),
-            std::string::npos);
-  EXPECT_NE(make_uniform_delay(0, 1)->describe().find("uniform"),
-            std::string::npos);
-  EXPECT_NE(make_lognormal_delay(0, 0, 1)->describe().find("lognormal"),
-            std::string::npos);
-}
-
 TEST(DelayModelTest, SamplingIsDeterministicGivenRngState) {
   auto d = make_exponential_delay(1.0);
   util::Rng a(11), b(11);

@@ -87,7 +87,7 @@ int usage(const char* argv0) {
          "--start-seed\n"
       << "  --start-seed S        first seed for --minutes mode (default 0)\n"
       << "  --jobs N              parallel workers (default 1; 0 = all "
-         "cores)\n"
+         "cores; at most 64)\n"
       << "  --repro-dir DIR       write shrunk repro files into DIR\n"
       << "  --corpus-dir DIR      write every pre-shrink violating profile "
          "into DIR\n"
@@ -426,7 +426,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--jobs") {
       const char* v = next();
       const auto jobs = number<std::size_t>(v);
-      if (!jobs) return bad_value(argv[0], arg, v);
+      if (!jobs || *jobs > pqra::sim::kMaxJobs) {
+        return bad_value(argv[0], arg, v);
+      }
       opt.jobs = *jobs;
     } else if (arg == "--repro-dir") {
       const char* v = next();

@@ -56,7 +56,7 @@ struct RuleConfig {
 struct CallGraphConfig {
   std::vector<std::string> roots;
   std::vector<std::string> schedulers = {"schedule_in", "schedule_at",
-                                         "schedule_at_seq", "schedule_batch"};
+                                         "schedule_batch"};
   std::vector<std::string> scope;
   std::vector<std::string> allow;
 };
