@@ -28,13 +28,12 @@ net::Message Replica::handle(const net::Message& request) {
                                     entry->value);
     }
     case net::MsgType::kWriteReq: {
-      TimestampedValue& slot = store_.entry(request.reg);
-      if (request.ts > slot.ts) {
-        slot.ts = request.ts;
-        slot.value = request.value;
+      if (TimestampedValue* slot = newer_slot(request.reg, request.ts)) {
+        slot->ts = request.ts;
+        slot->value = request.value;
         ++writes_applied_;
         if (storage_ != nullptr) {
-          storage_->on_apply(request.reg, slot.ts, slot.value);
+          storage_->on_apply(request.reg, slot->ts, slot->value);
         }
       }
       return net::Message::write_ack(request.reg, request.op, request.ts);
@@ -45,6 +44,15 @@ net::Message Replica::handle(const net::Message& request) {
       break;
   }
   PQRA_CHECK(false, "replica received a non-request message");
+}
+
+TimestampedValue* Replica::newer_slot(RegisterId reg, Timestamp ts) {
+  // An absent key holds the initial value at ts 0, so only ts > 0 inserts.
+  // Inserting before the comparison would leave a stale write's empty
+  // (ts 0) entry behind, hiding default_initial_ from later reads.
+  TimestampedValue* slot = store_.find(reg);
+  if (slot == nullptr) return ts > 0 ? &store_.entry(reg) : nullptr;
+  return ts > slot->ts ? slot : nullptr;
 }
 
 void Replica::preload(RegisterId reg, Value value) {
@@ -84,13 +92,12 @@ Value Replica::encode_store() const {
 std::size_t Replica::merge_store(const Value& encoded) {
   std::size_t advanced = 0;
   for (StoreEntry& entry : decode_store(encoded)) {
-    TimestampedValue& slot = store_.entry(entry.reg);
-    if (entry.ts > slot.ts) {
-      slot.ts = entry.ts;
-      slot.value = std::move(entry.value);
+    if (TimestampedValue* slot = newer_slot(entry.reg, entry.ts)) {
+      slot->ts = entry.ts;
+      slot->value = std::move(entry.value);
       ++advanced;
       if (storage_ != nullptr) {
-        storage_->on_apply(entry.reg, slot.ts, slot.value);
+        storage_->on_apply(entry.reg, slot->ts, slot->value);
       }
     }
   }

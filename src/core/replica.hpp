@@ -109,6 +109,11 @@ class Replica {
   void set_test_cross_key_probe_bug(bool on) { cross_key_probe_bug_ = on; }
 
  private:
+  /// The slot a mutation of \p reg at \p ts should overwrite, or nullptr
+  /// when \p ts is not newer than what the store holds.  The key is
+  /// inserted only in the first case, with one probe when it is present.
+  TimestampedValue* newer_slot(RegisterId reg, Timestamp ts);
+
   keyspace::FlatTable<TimestampedValue> store_;
   StoreListener* storage_ = nullptr;
   Value default_initial_;

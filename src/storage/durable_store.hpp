@@ -18,6 +18,19 @@
 /// replay (wal.hpp) and are truncated away so post-recovery appends extend
 /// a well-formed log.
 ///
+/// Invariant: after attach(), the replica's store changes only through
+/// StoreListener::on_apply.  Every record on_apply logs is then the exact
+/// (reg, ts, value) the replica just installed, so once this store has
+/// installed or loaded the backend's snapshot (its *base*), the replica
+/// holds base ⊔ log_, log_ being the records appended since.  Both cheap
+/// paths rest on that:
+///   - a checkpoint after the first merges log_ into the base image read
+///     back from the backend, byte-identical to Replica::encode_store();
+///   - a recovery whose durable WAL equals log_ lost nothing, so it leaves
+///     the replica as it is and only counts what a replay would have.
+/// Anything else (a lost sync, a torn tail, a store that has not yet
+/// checkpointed or recovered since attach()) resets and replays.
+///
 /// The apply path (on_apply) is DES hot-path code when backed by MemDisk:
 /// it reuses one scratch buffer and draws nothing from any RNG, so durable
 /// runs execute the byte-identical event schedule of their non-durable
@@ -46,10 +59,12 @@ class DurableStore final : public core::Replica::StoreListener {
 
   /// Binds this store as \p replica's listener.  Callers that want the
   /// pre-attach state durable (e.g. preloaded initials) follow up with
-  /// checkpoint().
+  /// checkpoint().  Until the first checkpoint() or recover(), the store
+  /// knows nothing of what the replica holds beyond its log.
   void attach(core::Replica& replica) {
     replica_ = &replica;
     replica.bind_storage(this);
+    base_ = Base::kUnknown;
   }
 
   /// StoreListener: called by the replica once per applied mutation.
@@ -61,8 +76,10 @@ class DurableStore final : public core::Replica::StoreListener {
   void checkpoint();
 
   /// Rebuilds the replica from durable state: clear, load snapshot, replay
-  /// the valid WAL prefix, truncate any torn tail away.  The caller models
-  /// the crash itself (MemDisk::drop_volatile) before recovering.
+  /// the valid WAL prefix, truncate any torn tail away — or, when the
+  /// durable WAL is exactly log_, keeps the replica as it is (see the file
+  /// comment).  The caller models the crash itself (MemDisk::drop_volatile)
+  /// before recovering.
   void recover();
 
   /// Planted-bug hook for the explore durability drill
@@ -83,11 +100,29 @@ class DurableStore final : public core::Replica::StoreListener {
   const Counters& counters() const { return counters_; }
 
  private:
+  /// What the replica holds besides log_.
+  enum class Base {
+    kUnknown,   ///< attach() since the last checkpoint or recovery
+    kNone,      ///< nothing: the last recovery found no snapshot
+    kSnapshot,  ///< the backend's snapshot image
+  };
+
+  /// The snapshot image of base ⊔ log_, given the base image \p base.
+  util::Bytes merge_log(const util::Bytes& base) const;
+
+  /// Appends one record to log_ (scratch_ holds it afterwards).
+  void log_record(core::RegisterId reg, core::Timestamp ts,
+                  const core::Value& value);
+
   StorageBackend& backend_;
   core::Replica* replica_ = nullptr;
   Options options_;
   util::Bytes scratch_;  // reused record buffer: no per-apply allocation
-  std::size_t appends_since_checkpoint_ = 0;
+  /// The records appended since the base was installed or recovered, byte
+  /// for byte as a WAL that lost nothing holds them.
+  util::Bytes log_;
+  std::size_t log_records_ = 0;
+  Base base_ = Base::kUnknown;
   bool skip_crc_bug_ = false;
   Counters counters_;
 };

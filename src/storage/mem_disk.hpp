@@ -3,10 +3,10 @@
 /// \file mem_disk.hpp
 /// Deterministic in-memory "disk" for DES runs (docs/DURABILITY.md).
 ///
-/// Models one node's data directory as volatile/durable byte-pair images of
-/// the WAL and the snapshot.  Appends land in the volatile image; wal_sync
-/// copies volatile -> durable — unless a storage fault armed on this node
-/// in the FaultInjector intervenes:
+/// Models one node's data directory as a volatile/durable pair of WAL
+/// images plus the durable snapshot image.  Appends land in the volatile
+/// image; wal_sync makes the durable image equal to it — unless a storage
+/// fault armed on this node in the FaultInjector intervenes:
 ///
 ///   - fsync loss (`fsyncloss:N@T1-T2`): the sync silently does nothing;
 ///     the durable image stays behind until a later sync succeeds.  Models
@@ -14,14 +14,18 @@
 ///   - torn write (`tornwrite:N@T`): one-shot; the sync copies, then zeroes
 ///     a random non-empty suffix of the final record in the durable image.
 ///     Models a crash-adjacent partial sector write.  A later successful
-///     sync rewrites the durable image in full and legitimately repairs the
-///     tear — only a crash while the tear is the durable tail surfaces it,
-///     and then wal.hpp's CRC replay discards exactly the torn record.
+///     sync rewrites the durable image from the tear on and legitimately
+///     repairs it — only a crash while the tear is the durable tail
+///     surfaces it, and then wal.hpp's CRC replay discards exactly the torn
+///     record.
 ///
 /// Snapshot install and log truncation are rename-semantics atomic and
 /// exempt from both faults (see backend.hpp).
 ///
-/// drop_volatile() is the crash: volatile images reset to the durable ones.
+/// drop_volatile() is the crash: the volatile WAL resets to the durable one.
+/// Neither it nor wal_sync copies the prefix the two WAL images already
+/// share (`shared_`), only the bytes past it, so a sync costs the bytes
+/// appended since the last one, not the whole log.
 /// The tear-length draw comes from this disk's own forked RNG stream, so
 /// fault schedules stay byte-reproducible and --jobs-invariant.
 
@@ -70,7 +74,9 @@ class MemDisk final : public StorageBackend {
   util::Rng rng_;
   util::Bytes volatile_wal_;
   util::Bytes durable_wal_;
-  util::Bytes volatile_snapshot_;
+  /// The two WAL images agree on their first shared_ bytes: sync and crash
+  /// copy only what lies past them.  A torn sync moves it back to the tear.
+  std::size_t shared_ = 0;
   util::Bytes durable_snapshot_;
   /// Size of the most recent append: the torn-write fault tears within the
   /// final record, which is the only part of the image a real partial

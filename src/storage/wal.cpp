@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 
 namespace pqra::storage::wal {
 
@@ -55,11 +56,7 @@ void encode_record(util::Bytes& out, core::RegisterId reg, core::Timestamp ts,
   util::detail::append_raw(out, vlen);
   out.insert(out.end(), value.begin(), value.end());
   const std::uint32_t crc = crc32(out.data() + kHeaderBytes, len);
-  // Patch the placeholder in place (append_raw only appends).
-  util::Bytes crc_bytes;
-  util::detail::append_raw(crc_bytes, crc);
-  std::copy(crc_bytes.begin(), crc_bytes.end(),
-            out.begin() + static_cast<std::ptrdiff_t>(sizeof(std::uint32_t)));
+  std::memcpy(out.data() + sizeof(std::uint32_t), &crc, sizeof(crc));
 }
 
 ReplayResult replay_log(const util::Bytes& log, bool skip_crc_bug) {

@@ -49,6 +49,40 @@ TEST(ReplicaTest, EqualTimestampWriteIgnored) {
   EXPECT_EQ(util::decode<std::int64_t>(r.get(0)->value), 1);
 }
 
+TEST(ReplicaTest, StaleWriteOfAnAbsentKeyLeavesNoEntry) {
+  // An absent key holds the initial value at ts 0, so a ts-0 write (the
+  // write-back of a read that returned the initial value) is stale and
+  // must not insert an empty entry that hides the default initial value.
+  Replica r;
+  r.set_default_initial(val(7));
+  net::Message ack = r.handle(net::Message::write_req(5, 1, 0, Value{}));
+  EXPECT_EQ(ack.type, net::MsgType::kWriteAck);
+  EXPECT_EQ(r.num_registers(), 0u);
+  EXPECT_EQ(r.get(5), nullptr);
+  EXPECT_EQ(r.writes_applied(), 0u);
+  net::Message rack = r.handle(net::Message::read_req(5, 2));
+  EXPECT_EQ(rack.ts, 0u);
+  ASSERT_EQ(rack.value.size(), 8u);
+  EXPECT_EQ(util::decode<std::int64_t>(rack.value), 7);
+}
+
+TEST(ReplicaTest, StaleGossipEntryOfAnAbsentKeyLeavesNoEntry) {
+  // merge_store follows the same rule: a ts-0 gossip entry for a key the
+  // replica lacks advances nothing and inserts nothing.
+  Replica source;
+  source.preload(5, Value{});
+  source.handle(net::Message::write_req(6, 1, 3, val(60)));
+  Replica r;
+  r.set_default_initial(val(7));
+  EXPECT_EQ(r.merge_store(source.encode_store()), 1u);
+  EXPECT_EQ(r.num_registers(), 1u);
+  EXPECT_EQ(r.get(5), nullptr);
+  EXPECT_EQ(r.get(6)->ts, 3u);
+  net::Message rack = r.handle(net::Message::read_req(5, 2));
+  EXPECT_EQ(rack.ts, 0u);
+  EXPECT_EQ(util::decode<std::int64_t>(rack.value), 7);
+}
+
 TEST(ReplicaTest, RegistersAreIndependent) {
   Replica r;
   r.handle(net::Message::write_req(0, 1, 1, val(10)));

@@ -56,6 +56,26 @@ TEST(WalTest, EncodeDecodeRoundTripsRecords) {
   EXPECT_EQ(r.records[2].value, big);
 }
 
+TEST(WalTest, EncodedRecordMatchesTheDocumentedLayoutByteForByte) {
+  // A round trip cannot catch a field written at the wrong offset in both
+  // directions; this pins the little-endian layout of wal.hpp against
+  // bytes worked out independently (CRC-32 of the 24-byte payload).
+  util::Bytes record;
+  encode_record(record, 7, 9, val(42));
+  const unsigned char expected[] = {
+      0x18, 0x00, 0x00, 0x00,                          // len = 16 + 8
+      0xc3, 0x18, 0xdf, 0x04,                          // crc = 0x04df18c3
+      0x07, 0x00, 0x00, 0x00,                          // reg
+      0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // ts
+      0x08, 0x00, 0x00, 0x00,                          // vlen
+      0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // int64 42
+  };
+  ASSERT_EQ(record.size(), sizeof(expected));
+  for (std::size_t i = 0; i < sizeof(expected); ++i) {
+    EXPECT_EQ(std::to_integer<unsigned>(record[i]), expected[i]) << "byte " << i;
+  }
+}
+
 TEST(WalTest, EmptyLogReplaysToNothing) {
   const ReplayResult r = replay_log(util::Bytes{});
   EXPECT_TRUE(r.records.empty());
