@@ -1,18 +1,17 @@
 #pragma once
 
 /// \file quorum_access.hpp
-/// Bookkeeping of one quorum access, shared by both register clients.
+/// Bookkeeping of one quorum access of the register client.
 ///
 /// Every register operation is one or two phases of "send to a sampled
-/// quorum, collect acks from distinct servers, keep the best answer".  The
-/// DES client (QuorumRegisterClient, driven by simulator events and timers)
-/// and the threaded client (BlockingRegisterClient, driven by its mailbox
-/// loop) differ only in how they wait; what they count and decide lives
-/// here.  QuorumAccess is sans-I/O — a plain struct with no virtuals,
-/// callbacks, clock or transport: the driver feeds it acks and asks it
-/// questions, and keeps sending, retry timing and deadlines to itself.
-/// KeyState is the other thing both clients share: what they remember per
-/// register between accesses.
+/// quorum, collect acks from distinct servers, keep the best answer".
+/// QuorumRegisterClient runs those phases on both runtimes (the threaded
+/// BlockingRegisterClient drives the same client from its mailbox); what it
+/// counts and decides per access lives here.  QuorumAccess is sans-I/O — a
+/// plain struct with no virtuals, callbacks, clock or transport: the client
+/// feeds it acks and asks it questions, and keeps sending, retry timing and
+/// deadlines to itself.  KeyState is what the client remembers per register
+/// between accesses.
 
 #include <algorithm>
 #include <cstddef>

@@ -38,8 +38,9 @@ enum class OpStatus {
 
 /// Client recovery policy: per-attempt timeout, exponential backoff with
 /// deterministic jitter, an absolute per-operation deadline, and optional
-/// graceful degradation.  Times are in the runtime's unit (sim-time for the
-/// DES clients, seconds for the blocking client).
+/// graceful degradation.  Times are in the runtime's unit: simulated time on
+/// the DES, wall-clock seconds on threads (the blocking client's timer queue
+/// runs on a seconds clock).
 ///
 /// An attempt sends the RPC to a fresh random quorum; acks accumulate across
 /// attempts under the same operation id, which is what lets probabilistic

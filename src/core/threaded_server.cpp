@@ -1,43 +1,37 @@
 #include "core/threaded_server.hpp"
 
+#include <optional>
 #include <utility>
 
 #include "util/check.hpp"
 
 namespace pqra::core {
 
+namespace {
+
+obs::Registry* require_thread_safe(obs::Registry* metrics) {
+  PQRA_REQUIRE(metrics == nullptr ||
+                   metrics->mode() == obs::Concurrency::kThreadSafe,
+               "ThreadedServer needs a thread-safe registry");
+  return metrics;
+}
+
+}  // namespace
+
 ThreadedServer::ThreadedServer(net::ThreadTransport& transport, NodeId self,
                                Replica preloaded, obs::Registry* metrics)
-    : transport_(transport), self_(self), replica_(std::move(preloaded)) {
-  if (metrics != nullptr) {
-    PQRA_REQUIRE(metrics->mode() == obs::Concurrency::kThreadSafe,
-                 "ThreadedServer needs a thread-safe registry");
-    metrics_.emplace(*metrics);
-  }
-  thread_ = std::thread([this] { serve(); });
+    : transport_(transport),
+      process_(transport, self, require_thread_safe(metrics)) {
+  process_.replica() = std::move(preloaded);
+  thread_ = std::thread([this] {
+    while (std::optional<net::Envelope> env = transport_.recv(id())) {
+      process_.on_message(env->from, std::move(env->msg));
+    }
+  });
 }
 
 ThreadedServer::~ThreadedServer() {
   if (thread_.joinable()) thread_.join();
-}
-
-void ThreadedServer::serve() {
-  for (;;) {
-    std::optional<net::Envelope> env = transport_.recv(self_);
-    if (!env.has_value()) return;  // transport closed
-    std::uint64_t applied_before = replica_.writes_applied();
-    net::Message reply = replica_.handle(env->msg);
-    // Echo the causal headers (obs/span.hpp): span *emission* is DES-only,
-    // but propagation works on both transports so flight-recorder dumps of
-    // the threaded runtime still correlate messages to traces.
-    reply.trace = env->msg.trace;
-    reply.span = env->msg.span;
-    if (metrics_.has_value()) {
-      metrics_->requests->inc();
-      metrics_->ts_advances->inc(replica_.writes_applied() - applied_before);
-    }
-    transport_.send(self_, env->from, reply);
-  }
 }
 
 }  // namespace pqra::core

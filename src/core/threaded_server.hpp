@@ -1,11 +1,12 @@
 #pragma once
 
 /// \file threaded_server.hpp
-/// Replica server running on its own std::thread, pulling requests from its
-/// ThreadTransport mailbox.  Shares the Replica state machine with the
-/// simulated servers.  Stops when the transport is closed.
+/// Replica server running on its own std::thread: the thread pulls each
+/// envelope from its ThreadTransport mailbox and hands it to a
+/// ServerProcess, the same request handling (Replica, server metrics,
+/// whole-store reads) the simulated servers run.  Stops when the transport
+/// is closed.
 
-#include <optional>
 #include <thread>
 
 #include "core/replica.hpp"
@@ -32,17 +33,13 @@ class ThreadedServer {
 
   /// Post-shutdown inspection only (after the transport is closed and the
   /// serving thread has exited).
-  const Replica& replica() const { return replica_; }
+  const Replica& replica() const { return process_.replica(); }
 
-  NodeId id() const { return self_; }
+  NodeId id() const { return process_.id(); }
 
  private:
-  void serve();
-
   net::ThreadTransport& transport_;
-  NodeId self_;
-  Replica replica_;
-  std::optional<ServerMetrics> metrics_;
+  ServerProcess process_;
   std::thread thread_;
 };
 

@@ -134,9 +134,9 @@ Alg1ThreadsResult run_alg1_threads(const AcoOperator& op,
     // lock-free while running; one merge per thread happens here, after the
     // iteration loop, so the hot path never takes a global lock.
     std::lock_guard lock(progress_mutex);
-    cache_hits_total += client.monotone_cache_hits();
-    result.retries += client.retries();
-    result.op_failures += client.op_failures();
+    cache_hits_total += client.counters().monotone_cache_hits;
+    result.retries += client.counters().retries;
+    result.op_failures += client.counters().op_failures;
     result.read_latency.merge(client.read_latency());
     result.write_latency.merge(client.write_latency());
   };

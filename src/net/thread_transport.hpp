@@ -4,10 +4,12 @@
 /// Mailbox transport for the real-threads runtime.
 ///
 /// Each node owns a mutex+condvar mailbox; send() enqueues, recv() blocks.
-/// Unlike SimTransport there is no Receiver callback — threaded nodes pull
-/// from their mailbox, which matches how the blocking register client and
-/// threaded servers are written.  close() releases all blocked receivers so
-/// the runtime can shut down cleanly.
+/// It implements net::Transport, so the DES protocol objects
+/// (QuorumRegisterClient, ServerProcess) send through it unchanged; but
+/// unlike SimTransport it never calls a Receiver — threaded nodes pull from
+/// their mailbox and hand each envelope to their protocol object
+/// themselves.  close() releases all blocked receivers so the runtime can
+/// shut down cleanly.
 ///
 /// Fault injection: the transport owns a FaultInjector (net/faults.hpp)
 /// consulted on every send under the transport mutex.  Dropped messages
@@ -41,13 +43,17 @@ struct Envelope {
   Message msg;
 };
 
-class ThreadTransport {
+class ThreadTransport final : public Transport {
  public:
   explicit ThreadTransport(NodeId max_nodes, std::uint64_t fault_seed = 1);
 
   /// Enqueues \p msg into \p to's mailbox.  Thread-safe.  Messages sent
   /// after close() are dropped, as are messages the fault injector drops.
-  void send(NodeId from, NodeId to, Message msg);
+  void send(NodeId from, NodeId to, Message msg) override;
+
+  /// No-op: threaded nodes pull from their mailbox (recv) instead of being
+  /// called back, so there is nothing to register.
+  void register_receiver(NodeId /*node*/, Receiver* /*receiver*/) override {}
 
   /// Blocks until a message for \p node arrives or the transport is closed.
   /// Returns nullopt on close with an empty mailbox.
@@ -66,7 +72,7 @@ class ThreadTransport {
 
   bool closed() const;
 
-  MessageStats stats() const;
+  MessageStats stats() const override;
 
   // -- fault injection ------------------------------------------------------
 

@@ -8,8 +8,8 @@
 
 namespace pqra::obs::names {
 
-// Quorum register clients (DES QuorumRegisterClient + threaded
-// BlockingRegisterClient), aggregated over all client processes.
+// Quorum register clients (QuorumRegisterClient, on the DES or driven by a
+// threaded BlockingRegisterClient), aggregated over all client processes.
 inline constexpr const char* kClientReads = "pqra_client_reads_total";
 inline constexpr const char* kClientWrites = "pqra_client_writes_total";
 inline constexpr const char* kClientRetries = "pqra_client_retries_total";
@@ -60,7 +60,7 @@ inline constexpr const char* kFaultsTornWrites =
 inline constexpr const char* kFaultsFsyncLoss =
     "pqra_faults_fsync_loss_total";
 
-// Replica servers (DES ServerProcess + ThreadedServer).
+// Replica servers (ServerProcess, on the DES or run by a ThreadedServer).
 inline constexpr const char* kServerRequests = "pqra_server_requests_total";
 inline constexpr const char* kServerTsAdvances =
     "pqra_server_ts_advances_total";

@@ -56,14 +56,6 @@ class QuorumSystem {
   virtual std::size_t min_kill(AccessKind kind) const = 0;
 
   virtual std::string name() const = 0;
-
-  /// Convenience: picks into a fresh vector.  (Named differently from pick
-  /// so derived-class overrides do not hide it.)
-  std::vector<ServerId> sample(AccessKind kind, util::Rng& rng) const {
-    std::vector<ServerId> q;
-    pick(kind, rng, q);
-    return q;
-  }
 };
 
 }  // namespace pqra::quorum

@@ -30,6 +30,7 @@
 /// schedule, so batching is invisible to every determinism check.
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -139,6 +140,14 @@ class Simulator {
   bool empty() const { return queue_.empty(); }
   std::size_t pending_events() const { return queue_.size(); }
   std::uint64_t events_processed() const { return processed_; }
+
+  /// Time of the earliest pending event, nullopt when none is pending: until
+  /// when a driver that waits on something else between events (the
+  /// threaded register client's mailbox) may sleep.
+  std::optional<Time> next_event_time() const {
+    if (queue_.empty()) return std::nullopt;
+    return queue_.min_time();
+  }
 
   /// \deprecated Always 0: the event queue is a heap and never reorganizes.
   /// Still exported as pqra_sim_queue_bucket_resizes_total because the

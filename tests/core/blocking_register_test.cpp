@@ -160,8 +160,8 @@ TEST(BlockingRegisterTest, TimesOutInsteadOfBlockingOnACrashedQuorum) {
   EXPECT_EQ(client.last_status(), OpStatus::kTimedOut);
   EXPECT_FALSE(client.write(0, util::encode<std::int64_t>(1)).has_value());
   EXPECT_EQ(client.last_status(), OpStatus::kTimedOut);
-  EXPECT_EQ(client.op_failures(), 2u);
-  EXPECT_GT(client.retries(), 0u);
+  EXPECT_EQ(client.counters().op_failures, 2u);
+  EXPECT_GT(client.counters().retries, 0u);
 }
 
 TEST(BlockingRegisterTest, RetriesThroughATransientCrash) {
@@ -187,7 +187,7 @@ TEST(BlockingRegisterTest, RetriesThroughATransientCrash) {
   ASSERT_TRUE(r.has_value());
   EXPECT_EQ(r->status, OpStatus::kOk);
   EXPECT_EQ(r->acks, 3u);
-  EXPECT_GT(client.retries(), 0u);
+  EXPECT_GT(client.counters().retries, 0u);
 }
 
 TEST(BlockingRegisterTest, DegradedReadReportsPartialAccessSet) {

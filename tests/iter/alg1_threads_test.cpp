@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "apps/apsp.hpp"
 #include "apps/graph.hpp"
 #include "apps/transitive_closure.hpp"
+#include "iter/alg1_des.hpp"
 #include "obs/metrics.hpp"
 #include "obs/names.hpp"
 #include "quorum/majority.hpp"
@@ -12,6 +16,21 @@
 
 namespace pqra::iter {
 namespace {
+
+/// Names of the register protocol's client and server instruments.
+std::set<std::string> protocol_instruments(const obs::Registry& registry) {
+  std::set<std::string> names;
+  auto keep = [&names](const std::string& name) {
+    if (name.starts_with("pqra_client_") || name.starts_with("pqra_server_")) {
+      names.insert(name);
+    }
+  };
+  const obs::RegistrySnapshot snapshot = registry.snapshot();
+  for (const auto& c : snapshot.counters) keep(c.name);
+  for (const auto& g : snapshot.gauges) keep(g.name);
+  for (const auto& h : snapshot.histograms) keep(h.name);
+  return names;
+}
 
 TEST(Alg1ThreadsTest, ConvergesWithMajorityQuorums) {
   apps::Graph g = apps::make_chain(6);
@@ -92,6 +111,31 @@ TEST(Alg1ThreadsTest, SharedMetricsRegistryCountsAllLayers) {
   EXPECT_EQ(r.read_latency.count(), reads);
   EXPECT_EQ(r.write_latency.count(), writes);
   EXPECT_GT(r.read_latency.mean(), 0.0);
+}
+
+TEST(Alg1ThreadsTest, ReportsTheSameProtocolInstrumentsAsTheDes) {
+  // Both runtimes run the same client and server code, so a registry shows
+  // the same pqra_client_* and pqra_server_* instruments whichever ran.
+  apps::Graph g = apps::make_chain(6);
+  apps::ApspOperator op(g);
+  quorum::MajorityQuorums qs(5);
+
+  obs::Registry threaded(obs::Concurrency::kThreadSafe);
+  Alg1ThreadsOptions threads_options;
+  threads_options.quorums = &qs;
+  threads_options.metrics = &threaded;
+  ASSERT_TRUE(run_alg1_threads(op, threads_options).converged);
+
+  obs::Registry simulated;
+  Alg1Options des_options;
+  des_options.quorums = &qs;
+  des_options.metrics = &simulated;
+  ASSERT_TRUE(run_alg1(op, des_options).converged);
+
+  const std::set<std::string> names = protocol_instruments(simulated);
+  EXPECT_TRUE(names.contains(obs::names::kClientStaleDepth));
+  EXPECT_TRUE(names.contains(obs::names::kServerKeysCreated));
+  EXPECT_EQ(protocol_instruments(threaded), names);
 }
 
 TEST(Alg1ThreadsTest, RejectsSingleThreadRegistry) {

@@ -34,8 +34,9 @@ TEST(HierarchicalTest, QuorumCountIsThreeQSquared) {
 TEST(HierarchicalTest, PickedQuorumsAreValid) {
   HierarchicalQuorums qs(3);  // n = 27, quorums of 8
   util::Rng rng(5);
+  std::vector<ServerId> q;
   for (int i = 0; i < 100; ++i) {
-    auto q = qs.sample(AccessKind::kRead, rng);
+    qs.pick(AccessKind::kRead, rng, q);
     EXPECT_EQ(q.size(), 8u);
     std::set<ServerId> unique(q.begin(), q.end());
     EXPECT_EQ(unique.size(), 8u);

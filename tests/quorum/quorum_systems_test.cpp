@@ -35,8 +35,9 @@ TEST_P(ProbabilisticSweep, PicksValidQuorums) {
   auto [n, k] = GetParam();
   ProbabilisticQuorums qs(n, k);
   util::Rng rng(n * 131 + k);
+  std::vector<ServerId> q;
   for (int i = 0; i < 50; ++i) {
-    auto q = qs.sample(AccessKind::kRead, rng);
+    qs.pick(AccessKind::kRead, rng, q);
     expect_valid_quorum(qs, q, k);
   }
   EXPECT_EQ(qs.min_kill(AccessKind::kRead), n - k + 1);
@@ -54,8 +55,10 @@ TEST(ProbabilisticTest, CoversAllServersEventually) {
   ProbabilisticQuorums qs(20, 3);
   util::Rng rng(7);
   std::set<ServerId> seen;
+  std::vector<ServerId> q;
   for (int i = 0; i < 500; ++i) {
-    for (ServerId s : qs.sample(AccessKind::kRead, rng)) seen.insert(s);
+    qs.pick(AccessKind::kRead, rng, q);
+    seen.insert(q.begin(), q.end());
   }
   EXPECT_EQ(seen.size(), 20u);
 }
@@ -83,8 +86,10 @@ TEST(MajorityTest, AvailabilityIsCeilHalf) {
 TEST(MajorityTest, PicksValidQuorums) {
   MajorityQuorums qs(9);
   util::Rng rng(5);
+  std::vector<ServerId> q;
   for (int i = 0; i < 50; ++i) {
-    expect_valid_quorum(qs, qs.sample(AccessKind::kWrite, rng), 5);
+    qs.pick(AccessKind::kWrite, rng, q);
+    expect_valid_quorum(qs, q, 5);
   }
   EXPECT_TRUE(qs.is_strict());
 }
@@ -96,7 +101,9 @@ TEST(GridTest, QuorumIsRowPlusColumn) {
   EXPECT_EQ(qs.quorum_size(AccessKind::kRead), 6u);  // 3 + 4 - 1
   EXPECT_EQ(qs.num_quorums(AccessKind::kRead), 12u);
   util::Rng rng(1);
-  expect_valid_quorum(qs, qs.sample(AccessKind::kRead, rng), 6);
+  std::vector<ServerId> q;
+  qs.pick(AccessKind::kRead, rng, q);
+  expect_valid_quorum(qs, q, 6);
 }
 
 TEST(GridTest, EnumeratedQuorumsArePairwiseIntersecting) {
@@ -180,7 +187,8 @@ TEST(FppTest, RejectsNonPrimeOrder) {
 TEST(SingletonTest, AlwaysServerZero) {
   SingletonQuorums qs(5);
   util::Rng rng(1);
-  auto q = qs.sample(AccessKind::kRead, rng);
+  std::vector<ServerId> q;
+  qs.pick(AccessKind::kRead, rng, q);
   ASSERT_EQ(q.size(), 1u);
   EXPECT_EQ(q[0], 0u);
   EXPECT_EQ(qs.min_kill(AccessKind::kWrite), 1u);
@@ -189,9 +197,10 @@ TEST(SingletonTest, AlwaysServerZero) {
 TEST(RowaTest, ReadOneWriteAllShapes) {
   ReadOneWriteAll qs(6);
   util::Rng rng(2);
-  auto r = qs.sample(AccessKind::kRead, rng);
+  std::vector<ServerId> r, w;
+  qs.pick(AccessKind::kRead, rng, r);
   EXPECT_EQ(r.size(), 1u);
-  auto w = qs.sample(AccessKind::kWrite, rng);
+  qs.pick(AccessKind::kWrite, rng, w);
   EXPECT_EQ(w.size(), 6u);
   EXPECT_EQ(qs.min_kill(AccessKind::kRead), 6u);
   EXPECT_EQ(qs.min_kill(AccessKind::kWrite), 1u);
@@ -201,8 +210,10 @@ TEST(RowaTest, ReadQuorumsCoverAllServers) {
   ReadOneWriteAll qs(6);
   util::Rng rng(3);
   std::set<ServerId> seen;
+  std::vector<ServerId> q;
   for (int i = 0; i < 300; ++i) {
-    seen.insert(qs.sample(AccessKind::kRead, rng)[0]);
+    qs.pick(AccessKind::kRead, rng, q);
+    seen.insert(q[0]);
   }
   EXPECT_EQ(seen.size(), 6u);
 }

@@ -78,6 +78,18 @@ TEST(SimulatorTest, RunUntilAdvancesClockOnEmptyQueue) {
   EXPECT_DOUBLE_EQ(sim.now(), 5.0);
 }
 
+TEST(SimulatorTest, NextEventTimeIsTheEarliestPendingEvent) {
+  Simulator sim;
+  EXPECT_FALSE(sim.next_event_time().has_value());
+  sim.schedule_in(2.5, [] {});
+  sim.schedule_in(1.0, [] {});
+  EXPECT_EQ(sim.next_event_time(), 1.0);
+  sim.run_until(2.0);
+  EXPECT_EQ(sim.next_event_time(), 2.5);
+  sim.run();
+  EXPECT_FALSE(sim.next_event_time().has_value());
+}
+
 TEST(SimulatorTest, RequestStopHaltsRun) {
   Simulator sim;
   int fired = 0;
