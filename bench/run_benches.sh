@@ -44,7 +44,6 @@ if [ ! -x "$LINT" ]; then
   exit 1
 fi
 if ! (cd "$REPO_ROOT" && "$LINT" --config .pqra-lint.toml \
-        --cache "$(dirname "$LINT")/../../pqra_lint.cache" \
         src bench examples tools); then
   echo "run_benches.sh: pqra_lint found violations; refusing to bench" >&2
   exit 1

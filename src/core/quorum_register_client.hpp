@@ -1,8 +1,10 @@
 #pragma once
 
 /// \file quorum_register_client.hpp
-/// Client side of the (monotone) probabilistic quorum register protocol
-/// over the discrete-event simulator.
+/// Client side of the (monotone) probabilistic quorum register protocol.
+/// Both runtimes run it: the DES drives it from simulator events, and the
+/// threaded runtime's BlockingRegisterClient issues each operation on it and
+/// pumps its mailbox into it.
 ///
 /// Protocol (§4, simplified single-writer / failure-free form of
 /// Malkhi–Reiter's algorithm):
@@ -29,7 +31,8 @@
 /// baseline used throughout §6.4.
 ///
 /// Operations are asynchronous (continuation callbacks) because the client
-/// is driven by simulator events.  Several operations on *different*
+/// only reacts to message and timer events; BlockingRegisterClient turns
+/// each one into a blocking call.  Several operations on *different*
 /// registers may be outstanding at once — Alg. 1 reads all m registers in
 /// parallel — but per register the application must not pipeline operations
 /// (condition (3) of §3's register interface).

@@ -7,7 +7,7 @@
 
 namespace pqra::core {
 
-ServerMetrics::ServerMetrics(obs::Registry& registry)
+ServerProcess::ServerMetrics::ServerMetrics(obs::Registry& registry)
     : requests(&registry.counter(obs::names::kServerRequests,
                                  "Protocol requests served by replicas")),
       ts_advances(&registry.counter(

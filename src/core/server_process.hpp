@@ -1,9 +1,11 @@
 #pragma once
 
 /// \file server_process.hpp
-/// Discrete-event-simulation wrapper around a Replica: receives protocol
-/// requests from the transport and answers immediately (service time is
-/// folded into the link delays, as in the paper's model).
+/// Server wrapper around a Replica: receives protocol requests from the
+/// transport and answers immediately (service time is folded into the link
+/// delays, as in the paper's model).  Both runtimes run it: the DES binds it
+/// to a SimTransport, and the threaded runtime's ThreadedServer hands it
+/// each envelope from its mailbox.
 ///
 /// Optionally runs anti-entropy gossip (an extension; the paper's servers
 /// never talk to each other): every `interval` time units the server pushes
@@ -21,18 +23,6 @@
 #include "util/rng.hpp"
 
 namespace pqra::core {
-
-/// Registry-backed replica-server instruments, shared by ServerProcess and
-/// ThreadedServer (obs/names.hpp server names).  Aggregated over all
-/// servers bound to the same registry.
-struct ServerMetrics {
-  explicit ServerMetrics(obs::Registry& registry);
-
-  obs::Counter* requests;     ///< protocol requests served (read+write)
-  obs::Counter* ts_advances;  ///< writes that advanced a register timestamp
-  obs::Counter* gossip_merges;
-  obs::Counter* keys_created;  ///< first store entry per key (write/gossip)
-};
 
 /// Anti-entropy configuration; disabled by default.
 struct GossipOptions {
@@ -73,6 +63,17 @@ class ServerProcess final : public net::Receiver {
   std::uint64_t gossip_merges() const { return gossip_merges_; }
 
  private:
+  /// Registry-backed replica-server instruments (obs/names.hpp server
+  /// names), aggregated over all servers bound to the same registry.
+  struct ServerMetrics {
+    explicit ServerMetrics(obs::Registry& registry);
+
+    obs::Counter* requests;     ///< protocol requests served (read+write)
+    obs::Counter* ts_advances;  ///< writes that advanced a register timestamp
+    obs::Counter* gossip_merges;
+    obs::Counter* keys_created;  ///< first store entry per key (write/gossip)
+  };
+
   void schedule_gossip(sim::Time delay);
   void gossip_tick();
   void record_handle_span(const net::Message& request, Timestamp reply_ts);

@@ -1,6 +1,11 @@
 #include "sim/parallel_runner.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
+#include <mutex>
+#include <system_error>
+#include <thread>
 
 #include "util/check.hpp"
 
@@ -15,83 +20,41 @@ std::size_t default_jobs() {
 ParallelRunner::ParallelRunner(std::size_t jobs)
     : jobs_(jobs == 0 ? default_jobs() : jobs) {}
 
-ParallelRunner::~ParallelRunner() {
-  {
-    std::lock_guard lock(mutex_);
-    shutdown_ = true;
-  }
-  work_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
-
-void ParallelRunner::ensure_workers() {
-  if (!workers_.empty()) return;
-  workers_.reserve(jobs_);
-  for (std::size_t i = 0; i < jobs_; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
-
-void ParallelRunner::worker_loop() {
-  std::unique_lock lock(mutex_);
-  for (;;) {
-    work_cv_.wait(lock, [this] {
-      return shutdown_ || (batch_open_ && next_ < count_);
-    });
-    if (shutdown_) return;
-    while (next_ < count_) {
-      const std::size_t index = next_++;
-      ++in_flight_;
-      lock.unlock();
-      std::exception_ptr err;
-      try {
-        (*fn_)(index);
-      } catch (...) {
-        err = std::current_exception();
-      }
-      lock.lock();
-      if (err && (!error_ || index < error_index_)) {
-        error_ = err;
-        error_index_ = index;
-      }
-      --in_flight_;
-    }
-    if (in_flight_ == 0) done_cv_.notify_all();
-  }
-}
-
 void ParallelRunner::for_each_index(
     std::size_t count, const std::function<void(std::size_t)>& fn) {
   PQRA_REQUIRE(fn != nullptr, "ParallelRunner: null work function");
-  if (count == 0) return;
 
-  // Inline fast path: sequential semantics, zero synchronisation, and the
-  // caller's stack in every frame (debuggers, sanitizer reports).
-  if (jobs_ == 1 || count == 1) {
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::size_t error_index = count;  // lowest failing index so far
+  std::exception_ptr error;
+  auto drain = [&] {
+    for (std::size_t i = next.fetch_add(1); i < count;
+         i = next.fetch_add(1)) {
+      try {
+        fn(i);
+      } catch (...) {
+        std::lock_guard lock(error_mutex);
+        if (i < error_index) {
+          error_index = i;
+          error = std::current_exception();
+        }
+      }
+    }
+  };
 
-  std::unique_lock lock(mutex_);
-  PQRA_CHECK(!batch_open_, "ParallelRunner batches must not nest");
-  ensure_workers();
-  fn_ = &fn;
-  count_ = count;
-  next_ = 0;
-  in_flight_ = 0;
-  error_ = nullptr;
-  error_index_ = 0;
-  batch_open_ = true;
-  work_cv_.notify_all();
-  done_cv_.wait(lock, [this] { return next_ >= count_ && in_flight_ == 0; });
-  batch_open_ = false;
-  fn_ = nullptr;
-  if (error_) {
-    std::exception_ptr err = error_;
-    error_ = nullptr;
-    lock.unlock();
-    std::rethrow_exception(err);
+  const std::size_t threads = std::min(jobs_, count);
+  std::vector<std::thread> helpers;
+  helpers.reserve(threads);  // so only a thread start can throw below
+  try {
+    for (std::size_t t = 1; t < threads; ++t) helpers.emplace_back(drain);
+  } catch (const std::system_error&) {
+    // Fewer threads only cost speed: drain() below still claims every
+    // index the helpers that did start leave over.
   }
+  drain();
+  for (std::thread& t : helpers) t.join();
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace pqra::sim

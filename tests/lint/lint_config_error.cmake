@@ -41,6 +41,21 @@ expect_config_error("[lint]\nextensions = [\".cpp\"\n"
 # Key outside any section.
 expect_config_error("allow = []\n"
                     "bad\\.toml:1: ")
+# Text after an array's closing ']' is not dropped.
+expect_config_error(
+  "[rule.determinism-rng]\nallow = [\"fixtures/bad_rng.cpp\"] \"junk\"\n"
+  "bad\\.toml:2: ")
+# A bare value is one string, not a list.
+expect_config_error(
+  "[rule.determinism-rng]\nallow = \"fixtures/bad_rng.cpp\", \"x\"\n"
+  "bad\\.toml:2: ")
+# A multi-line array ends at its ']'; text after it is named on that line.
+expect_config_error(
+  "[rule.determinism-rng]\nallow = [\n  \"fixtures/bad_rng.cpp\",\n] x\n"
+  "bad\\.toml:4: ")
+# Nothing but a comment may follow a section header.
+expect_config_error("[lint] extensions = [\".cpp\"]\n"
+                    "bad\\.toml:1: ")
 # Missing file entirely.
 execute_process(
   COMMAND "${LINT}" --config "${WORK_DIR}/no_such_file.toml"
@@ -50,4 +65,13 @@ execute_process(
   ERROR_VARIABLE err)
 if(NOT rc EQUAL 2)
   message(FATAL_ERROR "missing config exited ${rc}, expected 2\n${err}")
+endif()
+# A directory is no config (it would read as an empty one).
+execute_process(
+  COMMAND "${LINT}" --config "${WORK_DIR}" fixtures/bad_rng.cpp
+  WORKING_DIRECTORY "${SRC_DIR}"
+  RESULT_VARIABLE rc
+  ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "directory as config exited ${rc}, expected 2\n${err}")
 endif()

@@ -1,7 +1,8 @@
 #include "common.hpp"
 
-#include <cctype>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 
 namespace pqra_lint {
 
@@ -136,234 +137,215 @@ std::string normalize(std::string p) {
   return p;
 }
 
-std::uint64_t fnv1a(const void* data, std::size_t n) {
-  const unsigned char* b = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= b[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-std::string cache_encode(const std::string& s) {
-  static const char* hex = "0123456789abcdef";
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    if (c == '%' || c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-      out += '%';
-      out += hex[c >> 4];
-      out += hex[c & 0xf];
-    } else {
-      out += static_cast<char>(c);
-    }
-  }
-  return out;
-}
-
-static int hex_val(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  return -1;
-}
-
-std::string cache_decode(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '%' && i + 2 < s.size() && hex_val(s[i + 1]) >= 0 &&
-        hex_val(s[i + 2]) >= 0) {
-      out += static_cast<char>(hex_val(s[i + 1]) * 16 + hex_val(s[i + 2]));
-      i += 2;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
+bool read_file(const std::string& path, std::string& out) {
+  // A directory opens as an empty stream, which would read as an empty
+  // (and so permissive) config.
+  std::error_code ec;
+  if (std::filesystem::is_directory(path, ec)) return false;
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return false;
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  out = ss.str();
+  return true;
 }
 
 // ---------------------------------------------------------------------------
 // Configuration loader — a deliberately small TOML subset: [sections],
-// key = "string" | [ "array", "of", "strings" ], # comments.  Unlike v1,
-// every malformed construct is a hard error with a file:line diagnostic
-// (a silently-ignored line once let an unreadable config produce a clean
-// exit through a harness wrapper; see tests/lint/lint_config_error.cmake).
+// key = "string" | [ "array", "of", "strings" ], # comments.  An array may
+// span lines and ends at its first ']' outside quotes; after a value or a
+// section header only a comment may follow on its line.  Every malformed
+// construct is a hard error with a name:line diagnostic (a silently-ignored
+// line once let an unreadable config produce a clean exit through a harness
+// wrapper; see tests/lint/lint_config_error.cmake).
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Splits a TOML string array body ("a", "b") into its elements.  Returns
-/// false when the body contains anything but quoted strings, commas and
-/// whitespace (a bare unquoted value used to vanish silently).
-bool parse_string_array(const std::string& body, std::vector<std::string>& out,
-                        std::string& why) {
-  std::size_t i = 0;
-  bool want_comma = false;
-  while (i < body.size()) {
-    char c = body[i];
-    if (std::isspace(static_cast<unsigned char>(c)) || c == ',') {
-      if (c == ',') want_comma = false;
-      ++i;
-      continue;
-    }
-    if (c == '"') {
-      if (want_comma) {
-        why = "missing ',' between array elements";
-        return false;
-      }
-      std::size_t end = body.find('"', i + 1);
-      if (end == std::string::npos) {
-        why = "unterminated string in array";
-        return false;
-      }
-      out.push_back(body.substr(i + 1, end - i - 1));
-      want_comma = true;
-      i = end + 1;
-      continue;
-    }
-    why = "array elements must be double-quoted strings";
+/// Cursor over the config text; tracks the 1-based line it is on and
+/// formats the first error.
+struct Scanner {
+  const std::string& name;
+  const std::string& text;
+  std::string& err;
+  std::size_t pos = 0;
+  int line = 1;
+
+  bool at_end() const { return pos >= text.size(); }
+  char peek() const { return text[pos]; }
+  void advance() {
+    if (text[pos++] == '\n') ++line;
+  }
+
+  bool fail(int ln, const std::string& why) {
+    err = name + ":" + std::to_string(ln) + ": " + why;
     return false;
   }
-  return true;
-}
 
-struct Committer {
-  Config& cfg;
-  std::string section;
+  void skip_comment() {
+    while (!at_end() && peek() != '\n') advance();
+  }
 
-  bool commit(const std::string& key, const std::string& value,
-              std::string& why) {
-    std::string body = value;
-    if (!body.empty() && body.front() == '[') {
-      std::size_t close = body.rfind(']');
-      if (close == std::string::npos) {
-        why = "unterminated array";
-        return false;
+  /// Skips spaces, tabs and '\r'; with \p newlines also line breaks and
+  /// comments (the blank space inside a multi-line array).
+  void skip_blank(bool newlines) {
+    while (!at_end()) {
+      char c = peek();
+      if (c == ' ' || c == '\t' || c == '\r' || (newlines && c == '\n')) {
+        advance();
+      } else if (newlines && c == '#') {
+        skip_comment();
+      } else {
+        return;
       }
-      body = body.substr(1, close - 1);
-    } else if (!body.empty() && body.front() == '"') {
-      // A single string commits like a one-element array.
-    } else {
-      why = "value must be a \"string\" or [\"array\", \"of\", \"strings\"]";
-      return false;
     }
-    std::vector<std::string> items;
-    if (!parse_string_array(body, items, why)) return false;
+  }
 
-    if (section == "lint") {
-      if (key == "extensions") {
-        cfg.extensions = items;
-        return true;
-      }
-      why = "unknown key '" + key + "' in [lint]";
-      return false;
+  /// Ends a header or key line: blanks, an optional comment, then the line
+  /// break or the end of the text.  False on any other text.
+  bool end_line() {
+    skip_blank(false);
+    if (!at_end() && peek() == '#') skip_comment();
+    if (at_end()) return true;
+    if (peek() != '\n') return false;
+    advance();
+    return true;
+  }
+
+  /// A double-quoted string on one line; no escapes.
+  bool string(std::vector<std::string>& out) {
+    std::size_t close = text.find_first_of("\"\n", pos + 1);
+    if (close == std::string::npos || text[close] != '"') {
+      return fail(line, "unterminated string");
     }
-    if (section == "callgraph") {
-      if (key == "roots") cfg.callgraph.roots = items;
-      else if (key == "schedulers") cfg.callgraph.schedulers = items;
-      else if (key == "scope") cfg.callgraph.scope = items;
-      else if (key == "allow") cfg.callgraph.allow = items;
-      else {
-        why = "unknown key '" + key + "' in [callgraph]";
-        return false;
-      }
-      return true;
+    out.push_back(text.substr(pos + 1, close - pos - 1));
+    pos = close + 1;
+    return true;
+  }
+
+  /// One string, or an array of strings (trailing comma allowed) that may
+  /// span lines and ends at its first ']' outside quotes.  \p key_line
+  /// names an array that never closes.
+  bool value(int key_line, std::vector<std::string>& out) {
+    if (!at_end() && peek() == '"') return string(out);
+    if (at_end() || peek() != '[') {
+      return fail(line,
+                  "value must be a \"string\" or [\"array\", \"of\", "
+                  "\"strings\"]");
     }
-    if (section.rfind("rule.", 0) == 0) {
-      RuleConfig& rc = cfg.rules[section.substr(5)];
-      if (key == "allow") rc.allow = items;
-      else if (key == "paths") rc.paths = items;
-      else {
-        why = "unknown key '" + key + "' in [" + section + "]";
-        return false;
+    advance();
+    skip_blank(true);
+    while (at_end() || peek() != ']') {
+      if (at_end()) {
+        return fail(key_line, "unterminated array (no closing ']')");
       }
-      return true;
+      if (peek() != '"') {
+        return fail(line, "array elements must be double-quoted strings");
+      }
+      if (!string(out)) return false;
+      skip_blank(true);
+      if (!at_end() && peek() == ',') {
+        advance();
+        skip_blank(true);
+      } else if (!at_end() && peek() != ']') {
+        return fail(line, "missing ',' between array elements");
+      }
     }
-    why = "unknown section [" + section + "]";
-    return false;
+    advance();
+    return true;
   }
 };
 
+/// True for [lint], [callgraph] and [rule.<id>] of a known rule; false with
+/// \p why otherwise.
+bool known_section(const std::string& section, std::string& why) {
+  if (section == "lint" || section == "callgraph") return true;
+  if (section.rfind("rule.", 0) == 0) {
+    if (known_rule(section.substr(5))) return true;
+    why = "unknown rule '" + section.substr(5) + "' (see --list-rules)";
+    return false;
+  }
+  why = section.empty() ? "empty section name"
+                        : "unknown section [" + section + "]";
+  return false;
+}
+
+/// The list `key = ...` sets in \p section (one known_section() accepts),
+/// or nullptr for a key the section does not have.
+std::vector<std::string>* config_slot(Config& cfg, const std::string& section,
+                                      const std::string& key) {
+  if (section == "lint") {
+    return key == "extensions" ? &cfg.extensions : nullptr;
+  }
+  if (section == "callgraph") {
+    if (key == "roots") return &cfg.callgraph.roots;
+    if (key == "schedulers") return &cfg.callgraph.schedulers;
+    if (key == "scope") return &cfg.callgraph.scope;
+    if (key == "allow") return &cfg.callgraph.allow;
+    return nullptr;
+  }
+  if (key != "allow" && key != "paths") return nullptr;
+  RuleConfig& rc = cfg.rules[section.substr(5)];
+  return key == "allow" ? &rc.allow : &rc.paths;
+}
+
 }  // namespace
 
+bool parse_config(const std::string& name, const std::string& text,
+                  Config& cfg, std::string& err) {
+  Scanner sc{name, text, err};
+  std::string section;
+  for (;;) {
+    sc.skip_blank(false);
+    if (sc.at_end()) return true;
+    const int ln = sc.line;
+    if (sc.peek() == '\n' || sc.peek() == '#') {
+      sc.end_line();
+      continue;
+    }
+    if (sc.peek() == '[') {
+      std::size_t close = text.find_first_of("]\n", sc.pos);
+      if (close == std::string::npos || text[close] != ']') {
+        return sc.fail(ln, "section header missing closing ']'");
+      }
+      section = trim(text.substr(sc.pos + 1, close - sc.pos - 1));
+      sc.pos = close + 1;
+      std::string why;
+      if (!known_section(section, why)) return sc.fail(ln, why);
+      if (!sc.end_line()) {
+        return sc.fail(ln, "unexpected text after the section header");
+      }
+      continue;
+    }
+    std::size_t eq = text.find_first_of("=\n#", sc.pos);
+    if (eq == std::string::npos || text[eq] != '=') {
+      return sc.fail(ln, "expected 'key = value' or '[section]'");
+    }
+    std::string key = trim(text.substr(sc.pos, eq - sc.pos));
+    sc.pos = eq + 1;
+    if (key.empty()) return sc.fail(ln, "missing key before '='");
+    if (section.empty()) return sc.fail(ln, "key outside any [section]");
+    std::vector<std::string>* slot = config_slot(cfg, section, key);
+    if (slot == nullptr) {
+      return sc.fail(ln, "unknown key '" + key + "' in [" + section + "]");
+    }
+    std::vector<std::string> items;
+    sc.skip_blank(false);
+    if (!sc.value(ln, items)) return false;
+    if (!sc.end_line()) {
+      return sc.fail(sc.line, "unexpected text after the value");
+    }
+    *slot = std::move(items);
+  }
+}
+
 bool load_config(const std::string& file, Config& cfg, std::string& err) {
-  std::ifstream in(file);
-  if (!in) {
+  std::string text;
+  if (!read_file(file, text)) {
     err = file + ": cannot open config file";
     return false;
   }
-  Committer committer{cfg, ""};
-  std::string line, pending_key, pending_array;
-  int lineno = 0, pending_line = 0;
-  bool in_array = false;
-  auto fail = [&](int ln, const std::string& why) {
-    err = file + ":" + std::to_string(ln) + ": " + why;
-    return false;
-  };
-  while (std::getline(in, line)) {
-    ++lineno;
-    // Strip comments (a '#' outside quotes).
-    bool quoted = false;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-      if (line[i] == '"') quoted = !quoted;
-      if (line[i] == '#' && !quoted) {
-        line = line.substr(0, i);
-        break;
-      }
-    }
-    if (quoted) return fail(lineno, "unterminated string");
-    line = trim(line);
-    if (in_array) {
-      pending_array += " " + line;
-      if (line.find(']') != std::string::npos) {
-        std::string why;
-        if (!committer.commit(pending_key, pending_array, why)) {
-          return fail(pending_line, why);
-        }
-        in_array = false;
-      }
-      continue;
-    }
-    if (line.empty()) continue;
-    if (line.front() == '[') {
-      if (line.back() != ']') {
-        return fail(lineno, "section header missing closing ']'");
-      }
-      committer.section = trim(line.substr(1, line.size() - 2));
-      if (committer.section.empty()) return fail(lineno, "empty section name");
-      if (committer.section.rfind("rule.", 0) == 0 &&
-          !known_rule(committer.section.substr(5))) {
-        return fail(lineno, "unknown rule '" + committer.section.substr(5) +
-                                "' (see --list-rules)");
-      }
-      continue;
-    }
-    std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      return fail(lineno, "expected 'key = value' or '[section]'");
-    }
-    std::string key = trim(line.substr(0, eq));
-    std::string value = trim(line.substr(eq + 1));
-    if (key.empty()) return fail(lineno, "missing key before '='");
-    if (committer.section.empty()) {
-      return fail(lineno, "key outside any [section]");
-    }
-    if (!value.empty() && value.front() == '[' &&
-        value.find(']') == std::string::npos) {
-      in_array = true;
-      pending_key = key;
-      pending_array = value;
-      pending_line = lineno;
-      continue;
-    }
-    std::string why;
-    if (!committer.commit(key, value, why)) return fail(lineno, why);
-  }
-  if (in_array) {
-    return fail(pending_line, "unterminated array (no closing ']')");
-  }
-  return true;
+  return parse_config(file, text, cfg, err);
 }
 
 }  // namespace pqra_lint

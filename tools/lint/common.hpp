@@ -6,19 +6,18 @@
 /// pqra_lint v2 is a multi-pass analyzer split across five modules:
 ///
 ///   index.*      pass 1 — tokenizer + per-file indexing (symbols, calls,
-///                facts, taint statements) behind a content-hash cache
+///                facts, taint statements)
 ///   callgraph.*  pass 2 — project-wide call graph; re-bases the hotpath-*
 ///                rules on reachability from the DES fire loop
 ///   taint.*      pass 3 — nondeterminism-taint source→sink propagation
 ///   rules.cpp    the per-file token rules carried over from v1, plus the
 ///                include-closure unordered-iter pass
-///   main.cpp     driver: file walk, parallel scan, cache, --sarif/--diff
+///   main.cpp     driver: file walk, parallel scan, --sarif
 ///
 /// This header holds the types every module speaks: tokens, configuration,
 /// violations and the rule catalogue.  Exit status contract (unchanged from
 /// v1): 0 clean, 1 violations found, 2 usage/configuration error.
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -67,8 +66,13 @@ struct Config {
   CallGraphConfig callgraph;
 };
 
-/// Loads \p file.  On failure returns false with \p err =
-/// "<file>:<line>: <reason>" (or "<file>: <reason>" for open errors) — the
+/// Parses config \p text into \p cfg.  On failure returns false with
+/// \p err = "<name>:<line>: <reason>", the line being one inside \p text.
+bool parse_config(const std::string& name, const std::string& text,
+                  Config& cfg, std::string& err);
+
+/// Reads and parses \p file.  On failure returns false with \p err as
+/// parse_config() sets it (or "<file>: <reason>" for open errors) — the
 /// driver turns any config failure into a hard exit 2, never a clean scan.
 bool load_config(const std::string& file, Config& cfg, std::string& err);
 
@@ -113,14 +117,8 @@ bool matches_any(const std::vector<std::string>& pats, const std::string& path);
 /// Forward-slashes, strips a leading "./".
 std::string normalize(std::string p);
 
-/// FNV-1a 64 over bytes — the content hash keying the index cache.  The
-/// same fold the Simulator uses for fingerprints, so cache keys are stable
-/// across platforms and standard libraries (never std::hash).
-std::uint64_t fnv1a(const void* data, std::size_t n);
-
-/// Percent-encodes '%', '\t', '\n', '\r' and ' ' so variable-text fields
-/// survive the whitespace-delimited cache format; decode() inverts it.
-std::string cache_encode(const std::string& s);
-std::string cache_decode(const std::string& s);
+/// Reads \p path whole into \p out; false when it is a directory or
+/// cannot be opened.
+bool read_file(const std::string& path, std::string& out);
 
 }  // namespace pqra_lint

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 
 namespace pqra_lint {
 
@@ -941,7 +938,6 @@ FileIndex build_index(const std::string& path, const std::string& contents,
                       const std::vector<std::string>& schedulers) {
   FileIndex idx;
   idx.path = path;
-  idx.hash = fnv1a(contents.data(), contents.size());
   TokenStream ts = tokenize(contents);
   idx.includes = std::move(ts.includes);
   idx.escapes = std::move(ts.escapes);
@@ -949,289 +945,6 @@ FileIndex build_index(const std::string& path, const std::string& contents,
   Indexer ix{ts.tokens, schedulers, idx, {}, {}, {}, {}};
   ix.run(path);
   return idx;
-}
-
-// ---------------------------------------------------------------------------
-// Cache serialization — a line-oriented text format, one record type per
-// leading tag.  Variable-text fields are percent-encoded; '-' stands for an
-// empty field.  The whole file is dropped on any version or parse mismatch
-// (a stale or truncated cache must never change diagnostics).
-// ---------------------------------------------------------------------------
-
-namespace {
-
-constexpr const char* kCacheMagic = "pqra-lint-cache";
-constexpr int kCacheVersion = 2;
-
-std::string opt(const std::string& s) {
-  return s.empty() ? "-" : cache_encode(s);
-}
-std::string unopt(const std::string& s) {
-  return s == "-" ? "" : cache_decode(s);
-}
-
-std::string join_csv(const std::vector<std::string>& v) {
-  if (v.empty()) return "-";
-  std::string out;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i) out += ',';
-    out += v[i];
-  }
-  return out;
-}
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  if (s == "-" || s.empty()) return out;
-  std::string cur;
-  for (char c : s) {
-    if (c == ',') {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
-void serialize_entry(std::ostream& os, const FileIndex& f) {
-  char hex[32];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(f.hash));
-  os << "F " << cache_encode(f.path) << " " << hex << "\n";
-  for (const std::string& inc : f.includes) {
-    os << "i " << cache_encode(inc) << "\n";
-  }
-  for (const std::string& n : f.unordered_names) os << "u " << n << "\n";
-  for (const auto& [line, rules] : f.escapes) {
-    os << "e " << line;
-    for (const std::string& r : rules) os << " " << r;
-    os << "\n";
-  }
-  for (std::size_t k = 0; k < f.funcs.size(); ++k) {
-    const FuncDef& fn = f.funcs[k];
-    std::string flags;
-    if (fn.is_lambda) flags += 'l';
-    if (fn.is_event_body) flags += 'e';
-    if (fn.is_class_scope) flags += 'c';
-    if (flags.empty()) flags = "-";
-    os << "d " << k << " " << fn.parent << " " << fn.line_begin << " "
-       << fn.line_end << " " << flags << " " << opt(fn.name) << " "
-       << opt(fn.qual) << " " << opt(fn.class_name) << " "
-       << join_csv(fn.stream_params) << "\n";
-  }
-  for (const CallSite& c : f.calls) {
-    os << "c " << c.func << " " << c.line << " " << (c.member ? 1 : 0) << " "
-       << c.callee << " " << opt(c.qual_prefix) << "\n";
-  }
-  for (const HotFact& h : f.hot_facts) {
-    os << "h " << h.func << " " << h.line << " " << h.rule << h.variant << " "
-       << cache_encode(h.detail) << "\n";
-  }
-  for (const TokenFact& tf : f.token_facts) {
-    os << "t " << tf.line << " " << tf.rule << tf.variant << " "
-       << cache_encode(tf.detail) << "\n";
-  }
-  for (const IterSite& s : f.iter_sites) {
-    os << "r " << s.form << " " << s.idents.size();
-    for (const auto& [name, line] : s.idents) os << " " << name << ":" << line;
-    os << "\n";
-  }
-  for (const Stmt& s : f.stmts) {
-    std::string flags;
-    if (s.is_range_for) flags += 'f';
-    if (s.is_return) flags += 'r';
-    if (s.sanitize) flags += 'z';
-    if (flags.empty()) flags = "-";
-    os << "s " << s.func << " " << s.line << " " << flags << " " << opt(s.lhs)
-       << " " << join_csv(s.idents) << " " << s.sources.size();
-    for (const TaintSource& src : s.sources) {
-      os << " " << src.kind << ":" << src.line << ":"
-         << cache_encode(src.detail);
-    }
-    os << " " << opt(s.sinks) << " " << join_csv(s.calls) << "\n";
-  }
-  os << ".\n";
-}
-
-}  // namespace
-
-const FileIndex* IndexCache::lookup(const std::string& path,
-                                    std::uint64_t hash) const {
-  auto it = entries.find(path);
-  if (it == entries.end() || it->second.hash != hash) return nullptr;
-  return &it->second;
-}
-
-void IndexCache::put(FileIndex idx) {
-  entries[idx.path] = std::move(idx);
-}
-
-bool save_cache(const std::string& file, std::uint64_t config_token,
-                const IndexCache& cache) {
-  std::ofstream os(file, std::ios::binary | std::ios::trunc);
-  if (!os) return false;
-  char hex[32];
-  std::snprintf(hex, sizeof hex, "%016llx",
-                static_cast<unsigned long long>(config_token));
-  os << kCacheMagic << " " << kCacheVersion << " " << hex << "\n";
-  for (const auto& [path, idx] : cache.entries) {
-    (void)path;
-    serialize_entry(os, idx);
-  }
-  return static_cast<bool>(os);
-}
-
-bool load_cache(const std::string& file, std::uint64_t config_token,
-                IndexCache& cache) {
-  std::ifstream in(file, std::ios::binary);
-  if (!in) return false;
-  std::string line;
-  if (!std::getline(in, line)) return false;
-  {
-    std::istringstream hs(line);
-    std::string magic, vers, tok;
-    hs >> magic >> vers >> tok;
-    char want[32];
-    std::snprintf(want, sizeof want, "%016llx",
-                  static_cast<unsigned long long>(config_token));
-    if (magic != kCacheMagic || vers != std::to_string(kCacheVersion) ||
-        tok != want) {
-      return false;
-    }
-  }
-  FileIndex cur;
-  bool open = false;
-  auto bail = [&cache]() {
-    cache.entries.clear();
-    return false;
-  };
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    std::istringstream ls(line);
-    std::string tag;
-    ls >> tag;
-    if (tag == "F") {
-      if (open) return bail();
-      std::string path, hex;
-      ls >> path >> hex;
-      cur = FileIndex{};
-      cur.path = cache_decode(path);
-      cur.hash = std::strtoull(hex.c_str(), nullptr, 16);
-      open = true;
-    } else if (tag == ".") {
-      if (!open) return bail();
-      cache.put(std::move(cur));
-      cur = FileIndex{};
-      open = false;
-    } else if (!open) {
-      return bail();
-    } else if (tag == "i") {
-      std::string inc;
-      ls >> inc;
-      cur.includes.push_back(cache_decode(inc));
-    } else if (tag == "u") {
-      std::string n;
-      ls >> n;
-      cur.unordered_names.insert(n);
-    } else if (tag == "e") {
-      int ln;
-      ls >> ln;
-      std::string r;
-      while (ls >> r) cur.escapes[ln].insert(r);
-    } else if (tag == "d") {
-      std::size_t k;
-      FuncDef fn;
-      std::string flags, name, qual, cls, streams;
-      ls >> k >> fn.parent >> fn.line_begin >> fn.line_end >> flags >> name >>
-          qual >> cls >> streams;
-      if (!ls || k != cur.funcs.size()) return bail();
-      fn.is_lambda = flags.find('l') != std::string::npos;
-      fn.is_event_body = flags.find('e') != std::string::npos;
-      fn.is_class_scope = flags.find('c') != std::string::npos;
-      fn.name = unopt(name);
-      fn.qual = unopt(qual);
-      fn.class_name = unopt(cls);
-      fn.stream_params = split_csv(streams);
-      cur.funcs.push_back(std::move(fn));
-    } else if (tag == "c") {
-      CallSite c;
-      int member;
-      std::string qual;
-      ls >> c.func >> c.line >> member >> c.callee >> qual;
-      if (!ls) return bail();
-      c.member = member != 0;
-      c.qual_prefix = unopt(qual);
-      cur.calls.push_back(std::move(c));
-    } else if (tag == "h") {
-      HotFact h;
-      std::string rv, detail;
-      ls >> h.func >> h.line >> rv >> detail;
-      if (!ls || rv.size() != 2) return bail();
-      h.rule = rv[0];
-      h.variant = rv[1];
-      h.detail = cache_decode(detail);
-      cur.hot_facts.push_back(std::move(h));
-    } else if (tag == "t") {
-      TokenFact tf;
-      std::string rv, detail;
-      ls >> tf.line >> rv >> detail;
-      if (!ls || rv.size() != 2) return bail();
-      tf.rule = rv[0];
-      tf.variant = rv[1];
-      tf.detail = cache_decode(detail);
-      cur.token_facts.push_back(std::move(tf));
-    } else if (tag == "r") {
-      IterSite s;
-      std::size_t count;
-      ls >> s.form >> count;
-      if (!ls) return bail();
-      for (std::size_t k = 0; k < count; ++k) {
-        std::string pair;
-        ls >> pair;
-        auto colon = pair.rfind(':');
-        if (colon == std::string::npos) return bail();
-        s.idents.emplace_back(pair.substr(0, colon),
-                              std::atoi(pair.c_str() + colon + 1));
-      }
-      cur.iter_sites.push_back(std::move(s));
-    } else if (tag == "s") {
-      Stmt s;
-      std::string flags, lhs, idents, sinks, calls;
-      std::size_t nsrc;
-      ls >> s.func >> s.line >> flags >> lhs >> idents >> nsrc;
-      if (!ls) return bail();
-      s.is_range_for = flags.find('f') != std::string::npos;
-      s.is_return = flags.find('r') != std::string::npos;
-      s.sanitize = flags.find('z') != std::string::npos;
-      s.lhs = unopt(lhs);
-      s.idents = split_csv(idents);
-      for (std::size_t k = 0; k < nsrc; ++k) {
-        std::string rec;
-        ls >> rec;
-        // kind:line:detail
-        if (rec.size() < 4 || rec[1] != ':') return bail();
-        auto second = rec.find(':', 2);
-        if (second == std::string::npos) return bail();
-        TaintSource src;
-        src.kind = rec[0];
-        src.line = std::atoi(rec.substr(2, second - 2).c_str());
-        src.detail = cache_decode(rec.substr(second + 1));
-        s.sources.push_back(std::move(src));
-      }
-      ls >> sinks >> calls;
-      if (!ls) return bail();
-      s.sinks = unopt(sinks);
-      s.calls = split_csv(calls);
-      cur.stmts.push_back(std::move(s));
-    } else {
-      return bail();
-    }
-  }
-  if (open) return bail();
-  return true;
 }
 
 }  // namespace pqra_lint

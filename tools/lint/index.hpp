@@ -1,12 +1,11 @@
 #pragma once
 
 /// \file index.hpp
-/// Pass 1: per-file indexing behind a content-hash cache.
+/// Pass 1: per-file indexing.
 ///
 /// For every source file the indexer extracts, in one tokenizer pass, all
-/// the structure the later passes need — so passes 2 and 3 never touch
-/// source text again, and an unchanged file re-indexes for free out of the
-/// cache (tools/lint/index.cpp, serialized form documented there):
+/// the structure the later passes need, so passes 2 and 3 never touch
+/// source text again:
 ///
 ///   - quoted #include targets (the project include graph)
 ///   - names declared with an unordered container type (unordered-iter)
@@ -23,11 +22,10 @@
 ///   - a per-function statement stream for the taint pass: assignments,
 ///     returns, nondeterminism sources, output sinks, calls, sanitizers
 ///
-/// Everything recorded here is configuration-independent: which facts turn
-/// into diagnostics is decided by the passes, so a config edit never
-/// invalidates the cache.
+/// Everything recorded here except event-body marking is
+/// configuration-independent: which facts turn into diagnostics is decided
+/// by the passes.
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -116,7 +114,6 @@ struct Stmt {
 
 struct FileIndex {
   std::string path;
-  std::uint64_t hash = 0;
   std::vector<std::string> includes;
   std::set<std::string> unordered_names;
   std::map<int, std::set<std::string>> escapes;
@@ -136,25 +133,5 @@ struct FileIndex {
 /// make a lambda argument an event body (CallGraphConfig::schedulers).
 FileIndex build_index(const std::string& path, const std::string& contents,
                       const std::vector<std::string>& schedulers);
-
-// ---------------------------------------------------------------------------
-// Cache: one text file, entries keyed by (path, content hash).  The loader
-// drops the whole file on a format-version or tool-version mismatch; the
-// scheduler-config hash is folded into the version line because event-body
-// marking happens at index time.
-// ---------------------------------------------------------------------------
-
-struct IndexCache {
-  std::map<std::string, FileIndex> entries;  // keyed by normalized path
-
-  /// Returns the cached index for (path, hash), or nullptr on miss.
-  const FileIndex* lookup(const std::string& path, std::uint64_t hash) const;
-  void put(FileIndex idx);
-};
-
-bool load_cache(const std::string& file, std::uint64_t config_token,
-                IndexCache& cache);
-bool save_cache(const std::string& file, std::uint64_t config_token,
-                const IndexCache& cache);
 
 }  // namespace pqra_lint

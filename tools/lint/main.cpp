@@ -1,7 +1,7 @@
 /// \file main.cpp
-/// pqra_lint driver: file walk, incremental cache, parallel per-file
-/// indexing, the three passes (rules / reachability / taint), and the
-/// output backends (human diagnostics, --sarif, --diff filtering).
+/// pqra_lint driver: file walk, parallel per-file indexing, the three
+/// passes (rules / reachability / taint), and the output backends (human
+/// diagnostics, --sarif).
 ///
 /// Exit status contract (unchanged from v1, relied on by
 /// bench/run_benches.sh and CI): 0 clean, 1 violations, 2 usage or
@@ -14,7 +14,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <thread>
 #include <tuple>
 
@@ -42,32 +41,14 @@ bool has_extension(const Config& cfg, const std::string& path) {
 int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0
-      << " [--config FILE] [--cache FILE] [--sarif FILE] [--diff BASE]\n"
-         "       [--jobs N] [--list-rules] PATH...\n"
+      << " [--config FILE] [--sarif FILE] [--list-rules] PATH...\n"
          "Scans the given files/directories (relative to the working\n"
          "directory) for pqra project-invariant violations.  With no\n"
          "--config, reads .pqra-lint.toml from the working directory when\n"
          "present.\n"
-         "  --cache FILE  reuse/update a content-hash-keyed index cache\n"
          "  --sarif FILE  also write diagnostics as SARIF 2.1.0\n"
-         "  --diff BASE   only report findings in files changed vs the\n"
-         "                given git base (the scan still covers the tree:\n"
-         "                reachability and taint cross file boundaries)\n"
-         "  --jobs N      index N files in parallel (default: cores)\n"
          "Exit: 0 clean, 1 violations, 2 error.\n";
   return 2;
-}
-
-std::string read_file(const std::string& path, bool& ok) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    ok = false;
-    return "";
-  }
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  ok = true;
-  return ss.str();
 }
 
 // -- include resolution ------------------------------------------------------
@@ -186,73 +167,27 @@ bool write_sarif(const std::string& file,
   return static_cast<bool>(os);
 }
 
-// -- --diff ------------------------------------------------------------------
-
-/// Changed files vs \p base via git; returns false (with \p err set) when
-/// git fails — a bad base must not silently report an empty scan.
-bool changed_files(const std::string& base, std::set<std::string>& out,
-                   std::string& err) {
-  for (char c : base) {
-    if (!(std::isalnum(static_cast<unsigned char>(c)) || c == '_' ||
-          c == '-' || c == '.' || c == '/' || c == '~' || c == '^')) {
-      err = "invalid --diff base '" + base + "'";
-      return false;
-    }
-  }
-  std::string cmd = "git diff --name-only " + base + " -- 2>/dev/null";
-  FILE* pipe = popen(cmd.c_str(), "r");
-  if (!pipe) {
-    err = "cannot run git for --diff";
-    return false;
-  }
-  char buf[4096];
-  std::string acc;
-  while (std::size_t got = std::fread(buf, 1, sizeof buf, pipe)) {
-    acc.append(buf, got);
-  }
-  int rc = pclose(pipe);
-  if (rc != 0) {
-    err = "git diff --name-only " + base + " failed (not a repo, or unknown "
-          "base?)";
-    return false;
-  }
-  std::istringstream ss(acc);
-  std::string line;
-  while (std::getline(ss, line)) {
-    line = trim(line);
-    if (!line.empty()) out.insert(normalize(line));
-  }
-  return true;
-}
-
 }  // namespace
 }  // namespace pqra_lint
 
 int main(int argc, char** argv) {
   using namespace pqra_lint;
 
-  std::string config_file, cache_file, sarif_file, diff_base;
+  std::string config_file, sarif_file;
   std::vector<std::string> roots;
   bool list_rules = false;
-  int jobs = 0;
   for (int a = 1; a < argc; ++a) {
     std::string arg = argv[a];
     if (arg == "--config") {
       if (++a >= argc) return usage(argv[0]);
       config_file = argv[a];
     } else if (arg == "--cache") {
+      // Accepted and ignored: bench/suite/run_suite.py's lint gate still
+      // passes it.
       if (++a >= argc) return usage(argv[0]);
-      cache_file = argv[a];
     } else if (arg == "--sarif") {
       if (++a >= argc) return usage(argv[0]);
       sarif_file = argv[a];
-    } else if (arg == "--diff") {
-      if (++a >= argc) return usage(argv[0]);
-      diff_base = argv[a];
-    } else if (arg == "--jobs") {
-      if (++a >= argc) return usage(argv[0]);
-      jobs = std::atoi(argv[a]);
-      if (jobs < 1) return usage(argv[0]);
     } else if (arg == "--list-rules") {
       list_rules = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -307,54 +242,34 @@ int main(int argc, char** argv) {
   std::sort(files.begin(), files.end());
   files.erase(std::unique(files.begin(), files.end()), files.end());
 
-  // The cache key folds the scheduler list: event-body marking happens at
-  // index time, so a scheduler change must invalidate everything.
-  std::string token_src = "pqra-lint-2.0";
-  for (const std::string& s : cfg.callgraph.schedulers) {
-    token_src += "|" + s;
-  }
-  std::uint64_t config_token = fnv1a(token_src.data(), token_src.size());
-  IndexCache cache;
-  if (!cache_file.empty()) {
-    (void)load_cache(cache_file, config_token, cache);  // miss = cold scan
-  }
-
-  // Pass 1: per-file indexing, parallel across files, deterministic by
-  // slotting results at the file's position.
+  // Pass 1: per-file indexing, parallel across files at hardware
+  // concurrency, deterministic by slotting results at the file's position.
   std::vector<FileIndex> indexes(files.size());
-  std::vector<std::string> read_errors(files.size());
+  std::vector<char> unreadable(files.size(), 0);
   {
-    unsigned hw = std::thread::hardware_concurrency();
-    int nthreads = jobs > 0 ? jobs : (hw > 0 ? static_cast<int>(hw) : 1);
-    nthreads = std::min<int>(nthreads, static_cast<int>(files.size()));
-    if (nthreads < 1) nthreads = 1;
     std::atomic<std::size_t> next{0};
     auto worker = [&]() {
       for (std::size_t i = next.fetch_add(1); i < files.size();
            i = next.fetch_add(1)) {
-        bool ok = false;
-        std::string contents = read_file(files[i], ok);
-        if (!ok) {
-          read_errors[i] = files[i];
-          continue;
-        }
-        std::uint64_t hash = fnv1a(contents.data(), contents.size());
-        if (const FileIndex* hit = cache.lookup(files[i], hash)) {
-          indexes[i] = *hit;
-        } else {
+        std::string contents;
+        if (read_file(files[i], contents)) {
           indexes[i] =
               build_index(files[i], contents, cfg.callgraph.schedulers);
+        } else {
+          unreadable[i] = 1;
         }
       }
     };
+    const std::size_t threads = std::min<std::size_t>(
+        std::thread::hardware_concurrency(), files.size());
     std::vector<std::thread> pool;
-    for (int t = 1; t < nthreads; ++t) pool.emplace_back(worker);
+    for (std::size_t t = 1; t < threads; ++t) pool.emplace_back(worker);
     worker();
     for (std::thread& t : pool) t.join();
   }
-  for (const std::string& err : read_errors) {
-    if (!err.empty()) {
-      std::cerr << "pqra_lint: cannot read " << err << "\n";
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    if (unreadable[i]) {
+      std::cerr << "pqra_lint: cannot read " << files[i] << "\n";
       return 2;
     }
   }
@@ -370,17 +285,11 @@ int main(int argc, char** argv) {
     if (hit != by_path.end()) return hit->second;
     auto ax = aux.find(path);
     if (ax != aux.end()) return &ax->second;
-    bool ok = false;
-    std::string contents = read_file(path, ok);
-    if (!ok) return nullptr;
-    std::uint64_t hash = fnv1a(contents.data(), contents.size());
-    FileIndex idx;
-    if (const FileIndex* cached = cache.lookup(path, hash)) {
-      idx = *cached;
-    } else {
-      idx = build_index(path, contents, cfg.callgraph.schedulers);
-    }
-    return &aux.emplace(path, std::move(idx)).first->second;
+    std::string contents;
+    if (!read_file(path, contents)) return nullptr;
+    return &aux.emplace(path, build_index(path, contents,
+                                          cfg.callgraph.schedulers))
+                .first->second;
   };
 
   // Transitive include closure -> unordered-container names per file (v1
@@ -414,20 +323,6 @@ int main(int argc, char** argv) {
   check_reachability(cfg, file_ptrs, violations);
   check_taint(cfg, file_ptrs, closure_names, violations);
 
-  if (!diff_base.empty()) {
-    std::set<std::string> changed;
-    std::string err;
-    if (!changed_files(diff_base, changed, err)) {
-      std::cerr << "pqra_lint: " << err << "\n";
-      return 2;
-    }
-    violations.erase(std::remove_if(violations.begin(), violations.end(),
-                                    [&changed](const Violation& v) {
-                                      return changed.count(v.path) == 0;
-                                    }),
-                     violations.end());
-  }
-
   // stable_sort: two diagnostics can tie on (path, line, rule) — e.g. a
   // `mutex` and a `lock_guard` fact on one line — and their relative order
   // must not depend on what else is in the array, or a one-file edit could
@@ -446,16 +341,6 @@ int main(int argc, char** argv) {
     std::cerr << "pqra_lint: cannot write SARIF to " << sarif_file << "\n";
     return 2;
   }
-  if (!cache_file.empty()) {
-    IndexCache fresh;
-    for (FileIndex& idx : indexes) fresh.put(std::move(idx));
-    for (auto& [path, idx] : aux) {
-      (void)path;
-      fresh.put(std::move(idx));
-    }
-    (void)save_cache(cache_file, config_token, fresh);  // best-effort
-  }
-
   if (!violations.empty()) {
     std::cout << "pqra_lint: " << violations.size() << " violation"
               << (violations.size() == 1 ? "" : "s") << " in " << files.size()

@@ -3,8 +3,8 @@
 /// \file rules.hpp
 /// The per-file token rules carried over from v1 — determinism-rng/clock,
 /// metric-name, unordered-iter and the lexical (path-scoped) hotpath-*
-/// checks — replayed from the pass-1 facts so cached files never
-/// re-tokenize.  Diagnostic text and per-file ordering match v1 exactly:
+/// checks — replayed from the pass-1 facts, so no rule re-tokenizes.
+/// Diagnostic text and per-file ordering match v1 exactly:
 /// the golden tests byte-compare the output.
 ///
 /// unordered-iter is the one upgrade: names now come from the *transitive*
