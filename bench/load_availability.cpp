@@ -54,7 +54,7 @@ int main() {
   table.print_header();
   // Each system's Monte-Carlo estimates draw from a forked stream keyed on
   // its row index, so the rows are order-independent and can run on the
-  // PQRA_JOBS worker pool without changing any printed number.
+  // PQRA_JOBS worker threads without changing any printed number.
   struct Row {
     LoadEstimate load_r;
     LoadEstimate load_w;

@@ -1,9 +1,10 @@
 /// \file parallel_runner_test.cpp
 /// sim::ParallelRunner: results come back in index order no matter the job
-/// count or completion order, every index runs exactly once, errors are
-/// reported deterministically (lowest failing index), and the pool is
-/// reusable batch after batch.  Runs under TSan in CI (the workers and the
-/// submitting thread share the batch state).
+/// count or completion order, every index runs exactly once, a throwing
+/// batch still runs every index and reports the lowest failing one at every
+/// job count, and one runner serves batch after batch.  Runs under TSan in
+/// CI (the helper threads and the calling thread share each batch's
+/// counter and error slot).
 
 #include "sim/parallel_runner.hpp"
 
@@ -75,8 +76,10 @@ TEST(ParallelRunner, ZeroJobsMeansHardwareDefault) {
 TEST(ParallelRunner, LowestFailingIndexWins) {
   for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
     ParallelRunner pool(jobs);
+    std::atomic<int> calls{0};
     try {
-      pool.for_each_index(64, [](std::size_t i) {
+      pool.for_each_index(64, [&](std::size_t i) {
+        calls.fetch_add(1, std::memory_order_relaxed);
         if (i % 10 == 7) {  // 7, 17, 27, ... all fail
           throw std::runtime_error("boom at " + std::to_string(i));
         }
@@ -85,6 +88,8 @@ TEST(ParallelRunner, LowestFailingIndexWins) {
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(), "boom at 7") << "jobs=" << jobs;
     }
+    // The batch drains before it rethrows, at every jobs value.
+    EXPECT_EQ(calls.load(), 64) << "jobs=" << jobs;
   }
 }
 
